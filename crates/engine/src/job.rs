@@ -1,18 +1,22 @@
 //! Job descriptions, per-job execution, and per-job results.
 //!
-//! [`run_job`](crate::job::run_job) is the body a worker thread runs:
-//! compile (or warm-start) the model on a fresh manager, install a
-//! fresh per-job governor, check every requested spec, and map any
-//! governor trip or input problem to a structured [`JobOutcome`] — a
-//! job never panics the pool and never exits the process.
+//! [`run_job`] is the one checking path: a pool worker runs it per job,
+//! and `smc check` / `smc spec` run it once on the main thread. It plans
+//! cone-of-influence slices when asked, compiles (or warm-starts) the
+//! model on a fresh manager under a fresh per-job governor, checks every
+//! requested spec, renders traces, and maps any governor trip or input
+//! problem to a structured [`JobOutcome`] — a job never panics the pool,
+//! never exits the process and never writes to stderr.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use smc_analysis::Diagnostic;
 use smc_bdd::{BddError, Budget, CancelToken};
-use smc_checker::{CheckError, Checker, CycleStrategy, Phase};
-use smc_kripke::KripkeError;
+use smc_checker::{CheckError, Checker, CycleStrategy, PartialProgress, Phase};
+use smc_kripke::{KripkeError, SymbolicModel};
+use smc_logic::Ctl;
 use smc_obs::{Event, EventCtx, FixKind, Metrics, Recorder, Sink, Telemetry};
 use smc_smv::{
     compile_module_with_options, flatten, parse, CompileOptions, CompiledModel, Module, SmvError,
@@ -59,12 +63,11 @@ pub struct EngineConfig {
     pub node_limit: Option<usize>,
     /// Per-job fixpoint iteration cap.
     pub max_iters: Option<u64>,
-    /// Cone-of-influence reduction: whole-model jobs (no ad-hoc
-    /// formula) without traces check each `SPEC` on its sliced model
-    /// when the planner finds a sound slice; verdicts are unchanged.
-    /// COI jobs bypass the warm-start cache (its artifacts hold
-    /// full-model reachable sets) and print one `coi:` report line per
-    /// spec to stderr.
+    /// Cone-of-influence reduction: traceless jobs check each `SPEC`
+    /// (or the ad-hoc formula) on its sliced model when the planner
+    /// finds a sound slice; verdicts are unchanged. COI jobs bypass the
+    /// warm-start cache (its artifacts hold full-model reachable sets)
+    /// and carry the planner's report lines in [`JobResult::coi`].
     pub coi: bool,
     /// Fleet-wide cancellation: observed by every job's governor.
     pub cancel: Option<CancelToken>,
@@ -191,8 +194,12 @@ pub enum JobOutcome {
     NoSpecs,
     /// Parse/semantic/model input problems (the exit-2 class).
     InputError {
-        /// Rendered diagnostic.
+        /// One-line rendering (what `smc batch` and `smc serve` print).
         message: String,
+        /// The structured diagnostic (stable code, source span) when the
+        /// problem is in the model source; `smc check` renders it with a
+        /// source snippet.
+        diagnostic: Option<Diagnostic>,
     },
     /// This job's governor tripped (the exit-3 class). The batch keeps
     /// running; only this job is undecided.
@@ -203,6 +210,9 @@ pub enum JobOutcome {
         reason: String,
         /// Specs decided before the trip, in spec order.
         decided: Vec<SpecResult>,
+        /// What the tripped operation had achieved (all zero for a trip
+        /// during the load-time reachability check).
+        partial: PartialProgress,
     },
 }
 
@@ -226,18 +236,7 @@ impl JobOutcome {
 
     /// Stable label for the fleet metrics (`smc_batch_jobs_total`).
     pub fn label(&self) -> &'static str {
-        match self {
-            JobOutcome::Checked { specs } => {
-                if specs.iter().all(|s| s.holds) {
-                    "pass"
-                } else {
-                    "fail"
-                }
-            }
-            JobOutcome::NoSpecs => "pass",
-            JobOutcome::InputError { .. } => "input_error",
-            JobOutcome::Exhausted { .. } => "exhausted",
-        }
+        ["pass", "fail", "input_error", "exhausted"][usize::from(self.exit_class())]
     }
 }
 
@@ -283,9 +282,14 @@ pub struct JobResult {
     /// The job's manager's total created nodes (work counter, ditto).
     pub created_nodes: u64,
     /// Post-run heap brief; `None` unless the engine ran with
-    /// [`EngineConfig::heap`] (COI jobs spread over several managers
-    /// also report `None` — there is no single heap to summarize).
+    /// [`EngineConfig::heap`]. A COI job spread over several managers
+    /// reports the one its last verdict (or its budget trip) came from.
     pub heap: Option<JobHeap>,
+    /// Cone-of-influence report lines whenever the planner ran (a
+    /// traceless [`EngineConfig::coi`] job whose source parses): one per
+    /// `SPEC`, or one for an ad-hoc formula that slices. A job that fell
+    /// back to the full model keeps the lines that explain why.
+    pub coi: Vec<String>,
 }
 
 /// Worst-of exit code over a batch (3 exhausted > 2 input error > 1
@@ -317,9 +321,13 @@ fn compile_failure(e: SmvError) -> JobOutcome {
                 phase: Phase::Reachability.to_string(),
                 reason: reason.to_string(),
                 decided: Vec::new(),
+                partial: PartialProgress::default(),
             }
         }
-        other => JobOutcome::InputError { message: other.to_string() },
+        other => JobOutcome::InputError {
+            message: other.to_string(),
+            diagnostic: Some(smc_analysis::smv_diag(&other)),
+        },
     }
 }
 
@@ -332,8 +340,15 @@ fn compile_job(
     tele: Telemetry,
     cache: Option<&ArtifactCache>,
 ) -> Result<(CompiledModel, bool), JobOutcome> {
+    let Some(cache) = cache else {
+        // Nothing to publish: compile straight from source, inside the
+        // one `Compile` span a profile shows for parse + flatten + build.
+        return smc_smv::compile_with(&job.source, budget, tele)
+            .map(|compiled| (compiled, false))
+            .map_err(compile_failure);
+    };
     let key = source_key(&job.source);
-    if let Some(artifact) = cache.and_then(|c| c.get(key)) {
+    if let Some(artifact) = cache.get(key) {
         // Warm start: parse and flatten are already done, and skipping
         // the totality check (sound — the artifact only exists because
         // a cold compile of this exact source passed it) is what skips
@@ -358,65 +373,84 @@ fn compile_job(
     let module: Module = flatten(&program).map_err(compile_failure)?;
     let compiled = compile_module_with_options(&module, budget, tele, CompileOptions::default())
         .map_err(compile_failure)?;
-    if let Some(cache) = cache {
-        if let Some(reach) = compiled.model.cached_reachable() {
-            let mut buf = Vec::new();
-            // Serialization failure (it writes to memory, so only an
-            // internal invariant could fail) just skips publication.
-            if compiled.model.manager().write_bdds(&mut buf, &[reach]).is_ok() {
-                cache.insert(key, Artifact { module, source: job.source.clone(), reach: buf });
-            }
+    if let Some(reach) = compiled.model.cached_reachable() {
+        let mut buf = Vec::new();
+        // Serialization failure (it writes to memory, so only an
+        // internal invariant could fail) just skips publication.
+        if compiled.model.manager().write_bdds(&mut buf, &[reach]).is_ok() {
+            cache.insert(key, Artifact { module, source: job.source.clone(), reach: buf });
         }
     }
     Ok((compiled, false))
 }
 
-/// Request-scoped execution context a worker hands to the job body: the
-/// trace id stamped into every telemetry event, the worker slot the job
-/// runs on, and (when flight recording is enabled) the recorder ring to
-/// attach as a sink.
-pub(crate) struct TraceCtx<'a> {
+/// Request-scoped execution context handed to the job body: the trace
+/// id stamped into every telemetry event, the worker slot the job runs
+/// on, the flight recorder to attach (when recording is on), the
+/// telemetry handle the job's events go to, and the job's budget and
+/// trace policy (the server layers per-request quotas over the pool's).
+pub(crate) struct JobCtx<'a> {
     /// Trace id stamped into every event and echoed in the result.
     pub trace_id: &'a str,
     /// Worker slot the job runs on.
     pub worker: u64,
     /// Flight recorder to attach, when recording is on.
     pub recorder: Option<&'a Recorder>,
+    /// Where the job's events go.
+    pub tele: Telemetry,
+    /// The job's governor budget; `None` runs ungoverned.
+    pub budget: Option<Budget>,
+    /// Produce a counterexample/witness trace per spec.
+    pub want_trace: bool,
 }
 
-/// Runs one job start to finish on the calling (worker) thread, with
-/// the pool's per-job budget and trace policy. `worker` is the slot the
-/// calling thread owns; the trace id is derived from the source content
-/// key and the batch index, so it is schedule-independent.
-pub(crate) fn run_job(
+/// Runs one job start to finish on the calling thread, under the
+/// config's per-job budget and trace policy: the body a pool worker
+/// runs, and the whole of `smc check` / `smc spec` (no pool, no cache).
+/// The trace id is derived from the source content key and `index`, so
+/// it is schedule-independent; it and `worker` are stamped into every
+/// event sent to `tele`.
+///
+/// `visit` is called once for every BDD manager the job built, after
+/// its last verdict; the first call sees the manager the last verdict
+/// (or the budget trip) came from. A job whose compile failed built no
+/// manager and visits nothing.
+pub fn run_job(
     index: usize,
     job: &Job,
     cfg: &EngineConfig,
     cache: Option<&ArtifactCache>,
     worker: u64,
+    tele: Telemetry,
+    visit: &mut dyn FnMut(&SymbolicModel),
 ) -> JobResult {
     let trace_id = derive_trace_id(source_key(&job.source), index as u64);
     let recorder = (cfg.recorder_cap > 0).then(|| Recorder::new(cfg.recorder_cap));
-    let ctx = TraceCtx { trace_id: &trace_id, worker, recorder: recorder.as_ref() };
-    run_job_with(index, job, cfg, cache, cfg.job_budget(), cfg.want_trace, &ctx)
+    let ctx = JobCtx {
+        trace_id: &trace_id,
+        worker,
+        recorder: recorder.as_ref(),
+        tele,
+        budget: cfg.job_budget(),
+        want_trace: cfg.want_trace,
+    };
+    run_job_with(index, job, cfg, cache, ctx, visit)
 }
 
-/// Runs one job with an explicit budget, trace policy and request
-/// context — the entry point the server uses to layer per-request
-/// quotas, a per-request cancel token and its per-slot flight recorder
-/// over the pool configuration.
+/// [`run_job`] with an explicit request context — the entry point the
+/// server uses to layer per-request quotas, a per-request cancel token
+/// and its per-slot flight recorder over the pool configuration.
 pub(crate) fn run_job_with(
     index: usize,
     job: &Job,
     cfg: &EngineConfig,
     cache: Option<&ArtifactCache>,
-    budget: Option<Budget>,
-    want_trace: bool,
-    ctx: &TraceCtx<'_>,
+    ctx: JobCtx<'_>,
+    visit: &mut dyn FnMut(&SymbolicModel),
 ) -> JobResult {
     let start = Instant::now();
     let reach_iters = Arc::new(AtomicU64::new(0));
-    let tele = Telemetry::new();
+    let tele = ctx.tele;
     tele.set_trace(ctx.trace_id, ctx.worker);
     tele.add_sink(Box::new(ReachCounter(Arc::clone(&reach_iters))));
     let recorder_before = ctx.recorder.map(|r| (r.captured(), r.dropped()));
@@ -424,44 +458,24 @@ pub(crate) fn run_job_with(
         tele.add_sink(Box::new(rec.clone()));
     }
 
-    let mut cache_hit = false;
-    let mut counters = (0u64, 0u64);
-    let mut heap = None;
-    // The COI fast path: whole-model, traceless jobs check each SPEC on
-    // its sliced model. Any snag (no sound slice, a sliced compile
-    // failing) returns None and the ordinary full-model path runs; the
-    // warm-start cache is bypassed because its artifacts hold
-    // full-model reachable sets.
-    let coi = (cfg.coi && job.spec.is_none() && !want_trace)
-        .then(|| coi_specs(job, cfg, budget.clone(), &tele))
-        .flatten();
-    let outcome = match coi {
-        Some((outcome, coi_counters)) => {
-            counters = coi_counters;
-            outcome
-        }
-        None => match compile_job(job, budget, tele, cache) {
-            Err(outcome) => outcome,
-            Ok((mut compiled, hit)) => {
-                cache_hit = hit;
-                #[cfg(any(test, feature = "fault-injection"))]
-                if let Some(plan) = &cfg.fault_plan {
-                    compiled.model.manager_mut().inject_faults(plan.clone());
-                }
-                let outcome = check_specs(job, cfg, &mut compiled, want_trace);
-                let stats = compiled.model.manager().stats();
-                counters = (stats.cache_lookups, stats.created_nodes);
-                if cfg.heap {
-                    if let Event::HeapSample { live_nodes, widest_level, widest_width, .. } =
-                        compiled.model.manager().heap_sample()
-                    {
-                        heap = Some(JobHeap { live_nodes, widest_level, widest_width });
-                    }
-                }
-                outcome
+    // Work counters sum over every manager the job built; the heap brief
+    // is the first one visited (where the last verdict came from).
+    let (mut cache_lookups, mut created_nodes, mut heap) = (0u64, 0u64, None);
+    let mut visit_all = |model: &SymbolicModel| {
+        let stats = model.manager().stats();
+        cache_lookups += stats.cache_lookups;
+        created_nodes += stats.created_nodes;
+        if cfg.heap && heap.is_none() {
+            if let Event::HeapSample { live_nodes, widest_level, widest_width, .. } =
+                model.manager().heap_sample()
+            {
+                heap = Some(JobHeap { live_nodes, widest_level, widest_width });
             }
-        },
+        }
+        visit(model);
     };
+    let (outcome, cache_hit, coi) =
+        check_job(job, cfg, cache, ctx.budget, ctx.want_trace, &tele, &mut visit_all);
     // Fold this job's recorder traffic into the fleet series (deltas,
     // so a server-owned recorder shared across jobs counts each once).
     if let (Some(rec), Some((cap0, drop0))) = (ctx.recorder, recorder_before) {
@@ -484,148 +498,202 @@ pub(crate) fn run_job_with(
         wall_us: start.elapsed().as_micros() as u64,
         cache_hit,
         reach_iters: reach_iters.load(Ordering::Relaxed),
-        cache_lookups: counters.0,
-        created_nodes: counters.1,
+        cache_lookups,
+        created_nodes,
         heap,
+        coi,
     }
 }
 
-/// Checks the job's formulas against the compiled model, rendering
-/// traces inside the worker (states decode to text here, where the
-/// model's tables live). Raw verdicts are collected first and rendered
-/// after the checker releases its model borrow — the same shape (and
-/// therefore the same work order) as the serial `smc check` loop.
-fn check_specs(
+/// The job body: the cone-of-influence path when it applies (traces
+/// render every variable, so a traced job never slices), else the full
+/// model, warm from the cache when possible. Returns the outcome,
+/// whether the cache supplied the model, and the COI report lines.
+fn check_job(
     job: &Job,
     cfg: &EngineConfig,
-    compiled: &mut CompiledModel,
+    cache: Option<&ArtifactCache>,
+    budget: Option<Budget>,
     want_trace: bool,
-) -> JobOutcome {
-    let formulas = match &job.spec {
-        Some(text) => match smc_logic::ctl::parse(text) {
-            Ok(f) => vec![f],
-            Err(e) => {
-                return JobOutcome::InputError { message: format!("bad formula {text:?}: {e}") }
-            }
-        },
+    tele: &Telemetry,
+    visit: &mut dyn FnMut(&SymbolicModel),
+) -> (JobOutcome, bool, Vec<String>) {
+    let adhoc = match job.spec.as_deref().map(smc_logic::ctl::parse).transpose() {
+        Ok(adhoc) => adhoc,
+        Err(e) => {
+            let message = format!("bad formula {:?}: {e}", job.spec.as_deref().unwrap_or(""));
+            return (JobOutcome::InputError { message, diagnostic: None }, false, Vec::new());
+        }
+    };
+    let mut coi = Vec::new();
+    if cfg.coi && !want_trace {
+        let (report, planned) = plan_coi_job(&job.source, adhoc.as_ref(), budget.clone(), tele);
+        coi = report;
+        if let Some((mut models, tasks)) = planned {
+            let outcome = check_tasks(&mut models, &tasks, cfg.strategy, false, visit);
+            return (outcome, false, coi);
+        }
+    }
+    let (mut compiled, hit) = match compile_job(job, budget, tele.clone(), cache) {
+        Ok(compiled) => compiled,
+        Err(outcome) => return (outcome, false, coi),
+    };
+    #[cfg(any(test, feature = "fault-injection"))]
+    if let Some(plan) = &cfg.fault_plan {
+        compiled.model.manager_mut().inject_faults(plan.clone());
+    }
+    let formulas = match adhoc {
+        Some(formula) => vec![formula],
         None => compiled.specs.iter().map(|s| s.formula.clone()).collect(),
     };
-    if formulas.is_empty() {
-        return JobOutcome::NoSpecs;
-    }
-    let mut raw = Vec::with_capacity(formulas.len());
-    let mut exhausted: Option<(String, String)> = None;
-    {
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(cfg.strategy);
-        for formula in &formulas {
-            let outcome = if want_trace {
-                checker.check_with_trace(formula).map(|o| (o.verdict.holds(), o.trace))
-            } else {
-                checker.check(formula).map(|v| (v.holds(), None))
-            };
-            match outcome {
-                Ok(r) => raw.push(r),
-                Err(CheckError::ResourceExhausted { phase, reason, .. }) => {
-                    exhausted = Some((phase.to_string(), reason.to_string()));
-                    break;
-                }
-                Err(e) => return JobOutcome::InputError { message: e.to_string() },
-            }
-        }
-    }
-    let results: Vec<SpecResult> = raw
+    let tasks: Vec<Task> = formulas
         .into_iter()
-        .zip(&formulas)
-        .map(|((holds, trace), formula)| SpecResult {
-            formula: formula.to_string(),
-            holds,
-            trace: trace.map(|t| RenderedTrace {
-                states: t.states.iter().map(|s| compiled.render_state(s)).collect(),
-                loopback: t.loopback,
-            }),
-        })
+        .map(|formula| Task { model: 0, rendered: formula.to_string(), formula })
         .collect();
-    match exhausted {
-        Some((phase, reason)) => JobOutcome::Exhausted { phase, reason, decided: results },
-        None => JobOutcome::Checked { specs: results },
-    }
+    let outcome =
+        check_tasks(std::slice::from_mut(&mut compiled), &tasks, cfg.strategy, want_trace, visit);
+    (outcome, hit, coi)
 }
 
-/// Checks every `SPEC` of a whole-model job under cone-of-influence
-/// reduction: sliced specs run on their sliced model, fallback specs on
-/// one lazily compiled full model. Returns the outcome and the summed
-/// `(cache_lookups, created_nodes)` work counters, or `None` when the
-/// planner finds nothing to slice (or any compile fails) — the caller
-/// then runs the ordinary full-model path, which reports input problems
-/// with its usual diagnostics.
-fn coi_specs(
-    job: &Job,
-    cfg: &EngineConfig,
+/// One formula of a job and the compiled model (an index into the job's
+/// models) it is checked on.
+struct Task {
+    model: usize,
+    formula: Ctl,
+    /// The formula as the unsliced run renders it.
+    rendered: String,
+}
+
+/// The compiled models of a COI plan and the tasks checked on them.
+type Planned = (Vec<CompiledModel>, Vec<Task>);
+
+/// Plans cone-of-influence checking: each `SPEC` (or the ad-hoc
+/// formula) on its sliced model, whole-model fallback specs on one
+/// shared full compile. Returns the planner's report lines (empty when
+/// the source does not parse, or an ad-hoc formula has nothing to
+/// slice) and, when something slices and everything compiles, the
+/// models and tasks to check. Everything compiles before the first
+/// verdict, so a failing slice can still fall back to the ordinary
+/// full-model path, which owns the input diagnostics.
+fn plan_coi_job(
+    source: &str,
+    adhoc: Option<&Ctl>,
     budget: Option<Budget>,
     tele: &Telemetry,
-) -> Option<(JobOutcome, (u64, u64))> {
-    let program = parse(&job.source).ok()?;
-    let module: Module = flatten(&program).ok()?;
-    let plan = smc_analysis::plan_coi(&module);
-    if plan.specs.is_empty() || !plan.any_sliced() {
-        return None;
-    }
-    // Compile everything up front so a failing slice can still fall
-    // back to the ordinary path before any verdict is produced.
-    let mut models: Vec<Option<CompiledModel>> = Vec::with_capacity(plan.specs.len());
-    let mut full: Option<CompiledModel> = None;
-    let compile = |m: &Module| {
-        compile_module_with_options(m, budget.clone(), tele.clone(), CompileOptions::default())
+) -> (Vec<String>, Option<Planned>) {
+    let Some(module) = parse(source).ok().and_then(|p| flatten(&p).ok()) else {
+        return (Vec::new(), None);
     };
-    for spec in &plan.specs {
-        match &spec.module {
-            Some(sliced) => models.push(Some(compile(sliced).ok()?)),
-            None => {
-                if full.is_none() {
-                    full = Some(compile(&module).ok()?);
-                }
-                models.push(None);
-            }
-        }
-    }
-    for spec in &plan.specs {
-        eprintln!("{}: {}", job.name, spec.report);
-    }
-
-    let mut results = Vec::new();
-    let mut exhausted: Option<(String, String)> = None;
-    for (spec, slot) in plan.specs.iter().zip(models.iter_mut()) {
-        let (compiled, spec_at, sliced) = match slot {
-            Some(c) => (c, 0, true),
-            None => (full.as_mut()?, spec.index, false),
+    let compile = |m: &Module| {
+        compile_module_with_options(m, budget.clone(), tele.clone(), CompileOptions::default()).ok()
+    };
+    if let Some(formula) = adhoc {
+        let atoms: Vec<String> =
+            smc_logic::atom_occurrences(formula).into_iter().map(|a| a.name).collect();
+        let Some((sliced, report)) = smc_analysis::plan_adhoc_coi(&module, &atoms) else {
+            return (Vec::new(), None);
         };
-        let formula = compiled.specs.get(spec_at)?.formula.clone();
+        let task = Task { model: 0, formula: formula.clone(), rendered: formula.to_string() };
+        return (vec![report], compile(&sliced).map(|c| (vec![c], vec![task])));
+    }
+    let plan = smc_analysis::plan_coi(&module);
+    let report = plan.specs.iter().map(|s| s.report.clone()).collect();
+    if !plan.any_sliced() {
+        return (report, None);
+    }
+    let mut models = Vec::new();
+    let mut full = None;
+    let mut tasks = Vec::with_capacity(plan.specs.len());
+    for spec in &plan.specs {
+        let (model, spec_at) = match &spec.module {
+            Some(sliced) => {
+                let Some(c) = compile(sliced) else { return (report, None) };
+                models.push(c);
+                (models.len() - 1, 0)
+            }
+            None => match full {
+                Some(at) => (at, spec.index),
+                None => {
+                    let Some(c) = compile(&module) else { return (report, None) };
+                    models.push(c);
+                    (*full.insert(models.len() - 1), spec.index)
+                }
+            },
+        };
+        let Some(compiled) = models[model].specs.get(spec_at) else { return (report, None) };
+        let formula = compiled.formula.clone();
         // A sliced model carries exactly one SPEC, so the compiler labels
         // its synthesised atoms `__spec0_*`; restore the spec's original
         // index so the rendered formula matches the unsliced run exactly.
         let mut rendered = formula.to_string();
-        if sliced && spec.index != 0 {
+        if spec.module.is_some() && spec.index != 0 {
             rendered = rendered.replace("__spec0_", &format!("__spec{}_", spec.index));
         }
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(cfg.strategy);
-        match checker.check(&formula) {
-            Ok(v) => results.push(SpecResult { formula: rendered, holds: v.holds(), trace: None }),
-            Err(CheckError::ResourceExhausted { phase, reason, .. }) => {
-                exhausted = Some((phase.to_string(), reason.to_string()));
-                break;
+        tasks.push(Task { model, formula, rendered });
+    }
+    (report, Some((models, tasks)))
+}
+
+/// Checks every task on its model — one checker per model, so specs
+/// sharing a model share its memo, exactly as one serial run does — and
+/// renders traces after the checkers release their models (states
+/// decode to text here, where the model's tables live). A budget trip
+/// stops the loop but keeps the verdicts decided so far. Then visits
+/// every model, the one the last verdict (or the trip) came from first.
+fn check_tasks(
+    models: &mut [CompiledModel],
+    tasks: &[Task],
+    strategy: CycleStrategy,
+    want_trace: bool,
+    visit: &mut dyn FnMut(&SymbolicModel),
+) -> JobOutcome {
+    let mut raw = Vec::with_capacity(tasks.len());
+    let mut stopped = None;
+    {
+        let mut checkers: Vec<Checker<'_>> =
+            models.iter_mut().map(|c| Checker::new(&mut c.model).with_strategy(strategy)).collect();
+        for task in tasks {
+            let checker = &mut checkers[task.model];
+            let outcome = if want_trace {
+                checker.check_with_trace(&task.formula).map(|o| (o.verdict.holds(), o.trace))
+            } else {
+                checker.check(&task.formula).map(|v| (v.holds(), None))
+            };
+            match outcome {
+                Ok(r) => raw.push(r),
+                Err(e) => {
+                    stopped = Some(e);
+                    break;
+                }
             }
-            Err(_) => return None,
         }
     }
-    let mut counters = (0u64, 0u64);
-    for compiled in models.iter().flatten().chain(full.iter()) {
-        let stats = compiled.model.manager().stats();
-        counters.0 += stats.cache_lookups;
-        counters.1 += stats.created_nodes;
+    let decided: Vec<SpecResult> = raw
+        .into_iter()
+        .zip(tasks)
+        .map(|((holds, trace), task)| SpecResult {
+            formula: task.rendered.clone(),
+            holds,
+            trace: trace.map(|t| RenderedTrace {
+                states: t.states.iter().map(|s| models[task.model].render_state(s)).collect(),
+                loopback: t.loopback,
+            }),
+        })
+        .collect();
+    // Task indices are spent: move the last-used model to the front.
+    models.swap(0, tasks.get(decided.len()).or(tasks.last()).map_or(0, |t| t.model));
+    for m in models.iter() {
+        visit(&m.model);
     }
-    let outcome = match exhausted {
-        Some((phase, reason)) => JobOutcome::Exhausted { phase, reason, decided: results },
-        None => JobOutcome::Checked { specs: results },
-    };
-    Some((outcome, counters))
+    match stopped {
+        None if tasks.is_empty() => JobOutcome::NoSpecs,
+        None => JobOutcome::Checked { specs: decided },
+        Some(CheckError::ResourceExhausted { phase, reason, partial }) => JobOutcome::Exhausted {
+            phase: phase.to_string(),
+            reason: reason.to_string(),
+            decided,
+            partial,
+        },
+        Some(e) => JobOutcome::InputError { message: e.to_string(), diagnostic: None },
+    }
 }

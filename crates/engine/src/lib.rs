@@ -13,7 +13,9 @@
 //! per-job verdict, witness trace and work counter bit-identical to a
 //! serial run (`tests in the repo gate exactly this`).
 //!
-//! Three pieces:
+//! Three pieces, around [`run_job`], the one job body (COI plan →
+//! compile → check → render) that pool workers run and that `smc check`
+//! / `smc spec` run once on the main thread:
 //!
 //! - [`run_batch`] — the pool: per-worker queues seeded from a shared
 //!   injector, idle workers steal from the back of their siblings'
@@ -50,8 +52,8 @@ mod wire;
 
 pub use cache::{source_key, ArtifactCache, DEFAULT_CACHE_CAP};
 pub use job::{
-    derive_trace_id, worst_exit, EngineConfig, Job, JobHeap, JobOutcome, JobResult, RenderedTrace,
-    SpecResult,
+    derive_trace_id, run_job, worst_exit, EngineConfig, Job, JobHeap, JobOutcome, JobResult,
+    RenderedTrace, SpecResult,
 };
 pub use manifest::{parse_manifest, Manifest, ManifestEntry, ManifestError};
 pub use pool::run_batch;

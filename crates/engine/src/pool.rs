@@ -16,6 +16,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use smc_obs::Telemetry;
+
 use crate::job::{run_job, EngineConfig, Job, JobResult};
 use crate::ArtifactCache;
 
@@ -125,7 +127,7 @@ fn worker_loop(
             cfg.metrics.counter_add("smc_batch_steals_total", &[], 1);
         }
 
-        let result = run_job(index, &job, cfg, cache, w as u64);
+        let result = run_job(index, &job, cfg, cache, w as u64, Telemetry::new(), &mut |_| {});
 
         cfg.metrics.counter_add("smc_batch_jobs_total", &[("outcome", result.outcome.label())], 1);
         cfg.metrics.observe("smc_batch_job_wall_us", &[], result.wall_us.max(1));

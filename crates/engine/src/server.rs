@@ -48,10 +48,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use smc_bdd::{Budget, CancelToken};
-use smc_obs::{DumpMeta, Json, Metrics, Recorder, DEFAULT_RECORDER_CAP, STATUS_SCHEMA_VERSION};
+use smc_obs::{
+    DumpMeta, Json, Metrics, Recorder, Telemetry, DEFAULT_RECORDER_CAP, STATUS_SCHEMA_VERSION,
+};
 
 use crate::cache::{source_key, ArtifactCache};
-use crate::job::{derive_trace_id, run_job_with, EngineConfig, Job, JobOutcome, TraceCtx};
+use crate::job::{derive_trace_id, run_job_with, EngineConfig, Job, JobCtx, JobOutcome};
 use crate::wire::{job_json_fields, json_escape};
 
 /// Schema version stamped into every serve response line.
@@ -94,6 +96,9 @@ pub struct ServerConfig {
     /// endpoint ([`spawn_metrics_endpoint`]); created internally when
     /// the caller does not supply one.
     pub status: Option<StatusBoard>,
+    /// Operator log line sink (stderr, in `smc serve`); it receives each
+    /// job's COI report lines, `NAME:`-prefixed. `None` drops them.
+    pub log: Option<fn(&str)>,
 }
 
 impl Default for ServerConfig {
@@ -108,6 +113,7 @@ impl Default for ServerConfig {
             dump_dir: None,
             dump_cap: DEFAULT_DUMP_CAP,
             status: None,
+            log: None,
         }
     }
 }
@@ -763,13 +769,15 @@ impl<'a> Core<'a> {
                 &item.job,
                 &self.cfg.engine,
                 self.cache.as_ref(),
-                Some(budget),
-                item.want_trace,
-                &TraceCtx {
+                JobCtx {
                     trace_id: &item.trace_id,
                     worker: slot as u64,
                     recorder: Some(&recorder),
+                    tele: Telemetry::new(),
+                    budget: Some(budget),
+                    want_trace: item.want_trace,
                 },
+                &mut |_| {},
             )
         }));
         *lock(&self.slots[slot]) = None;
@@ -781,6 +789,11 @@ impl<'a> Core<'a> {
         );
         let line = match &result {
             Ok(r) => {
+                if let Some(log) = self.cfg.log {
+                    for report in &r.coi {
+                        log(&format!("{}: {report}", r.name));
+                    }
+                }
                 metrics.counter_add(
                     "smc_serve_requests_total",
                     &[("outcome", r.outcome.label())],

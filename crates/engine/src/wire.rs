@@ -93,7 +93,7 @@ pub fn job_json_fields(r: &JobResult) -> String {
             json_escape(reason)
         ));
     }
-    if let JobOutcome::InputError { message } = &r.outcome {
+    if let JobOutcome::InputError { message, .. } = &r.outcome {
         out.push_str(&format!(",\"error\":\"{}\"", json_escape(message)));
     }
     out

@@ -1,17 +1,11 @@
 #!/usr/bin/env bash
-# One-stop CI entry point: full verification (build, tests, smokes,
-# goldens), the static quality gate, and an ungated benchmark pass so a
-# broken workload fails the pipeline without a wall-time gate flaking it.
+# One-stop CI entry point. scripts/verify.sh already chains the build,
+# the tests, the smokes and goldens, the static quality gate
+# (scripts/lint.sh) and an ungated benchmark pass, so CI runs it once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==== ci: verify ===="
+echo "==== ci: verify (build, tests, goldens, lint, ungated bench) ===="
 ./scripts/verify.sh
-
-echo "==== ci: static quality gate ===="
-./scripts/lint.sh
-
-echo "==== ci: bench observatory (ungated) ===="
-./target/release/smc bench --reps 1 --no-gate --baseline BENCH_kernel.json
 
 echo "ci: OK"

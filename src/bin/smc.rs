@@ -29,10 +29,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use smc::analysis::{analyze, AnalysisOptions, Report};
+use smc::analysis::{analyze, AnalysisOptions, Diagnostic, Report};
 use smc::bdd::{BddError, BddManager, Budget};
 use smc::bench::observatory::{self, BenchConfig};
 use smc::checker::{CheckError, Checker, CycleStrategy, PartialProgress, Phase, TripReason};
+use smc::engine::{EngineConfig, Job, JobOutcome};
 use smc::kripke::{KripkeError, SymbolicModel};
 use smc::obs::{
     export_chrome, export_speedscope, report_from_jsonl_with, Event, Json, JsonlSink, Ledger,
@@ -156,8 +157,8 @@ COMMANDS:
              cache traffic, per-job wall histogram); --cache-dir makes
              the warm-start cache persistent (crash-safe writes,
              checksum-verified loads, --cache-cap LRU entries); --coi
-             checks whole-model traceless jobs on per-spec cones, as
-             for `smc check --coi` (such jobs bypass the cache)
+             checks traceless jobs on their cones, as `smc check --coi`
+             and `smc spec --coi` do (such jobs bypass the cache)
     serve    long-running checking service: NDJSON requests in (stdin,
              or TCP with --listen), one NDJSON response per request
              out. Ops: {{\"op\":\"check\",\"source\"|\"path\":..,
@@ -243,22 +244,18 @@ impl BudgetOptions {
     /// Consumes a budget flag at `args[*i]`, advancing `*i` past its
     /// value. Returns false if `args[*i]` is not a budget flag.
     fn try_parse(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        fn num(name: &str, v: Option<&String>) -> Result<u64, String> {
-            let v = v.ok_or_else(|| format!("{name} expects a number"))?;
-            v.parse::<u64>().map_err(|_| format!("{name} expects a number, got {v:?}"))
-        }
         match args[*i].as_str() {
             "--timeout" => {
                 *i += 1;
-                self.timeout_secs = Some(num("--timeout", args.get(*i))?);
+                self.timeout_secs = Some(number("--timeout", args.get(*i))?);
             }
             "--node-limit" => {
                 *i += 1;
-                self.node_limit = Some(num("--node-limit", args.get(*i))? as usize);
+                self.node_limit = Some(number("--node-limit", args.get(*i))?);
             }
             "--max-iters" => {
                 *i += 1;
-                self.max_iters = Some(num("--max-iters", args.get(*i))?);
+                self.max_iters = Some(number("--max-iters", args.get(*i))?);
             }
             _ => return Ok(false),
         }
@@ -283,6 +280,40 @@ impl BudgetOptions {
             budget = budget.with_max_iterations(n);
         }
         Some(budget)
+    }
+
+    /// An engine configuration carrying these caps (applied per job).
+    fn engine_config(self) -> EngineConfig {
+        EngineConfig {
+            timeout: self.timeout_secs.map(Duration::from_secs),
+            node_limit: self.node_limit,
+            max_iters: self.max_iters,
+            ..EngineConfig::default()
+        }
+    }
+}
+
+/// Parses the numeric operand of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a number"))?;
+    v.parse().map_err(|_| format!("{flag} expects a number, got {v:?}"))
+}
+
+/// Parses the operand of a flag that takes a positive count.
+fn positive(flag: &str, v: Option<&String>) -> Result<usize, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a number"))?;
+    v.parse()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("{flag} expects a positive number, got {v:?}"))
+}
+
+/// Parses the operand of `--strategy` (shared by check, batch and serve).
+fn parse_strategy(v: Option<&String>) -> Result<CycleStrategy, String> {
+    match v.map(String::as_str) {
+        Some("restart") => Ok(CycleStrategy::Restart),
+        Some("stayset") => Ok(CycleStrategy::StaySet),
+        other => Err(format!("--strategy expects 'restart' or 'stayset', got {other:?}")),
     }
 }
 
@@ -435,7 +466,11 @@ impl TeleSession {
 
 /// Prints the structured partial-progress report of an exhausted budget
 /// and returns the dedicated exit code 3.
-fn report_exhausted(phase: Phase, reason: &TripReason, partial: &PartialProgress) -> ExitCode {
+fn report_exhausted(
+    phase: impl std::fmt::Display,
+    reason: impl std::fmt::Display,
+    partial: &PartialProgress,
+) -> ExitCode {
     eprintln!("resource budget exhausted during {phase}: {reason}");
     eprintln!("partial progress: {partial}");
     ExitCode::from(3)
@@ -446,20 +481,20 @@ fn report_exhausted(phase: Phase, reason: &TripReason, partial: &PartialProgress
 /// line. The table is produced by snapshotting the manager into a
 /// throwaway metrics registry and rendering that, so `--stats` and
 /// `--metrics` report from one source of truth.
-fn print_stats(manager: &BddManager) {
+fn stats_text(manager: &BddManager) -> String {
     let m = Metrics::new();
     manager.record_metrics(&m);
-    print!("{}", m.render_stats());
+    m.render_stats()
 }
 
 /// Default number of widest levels shown by `--heap` and `smc inspect`.
 const HEAP_TOP_DEFAULT: usize = 5;
 
-/// Renders the full heap observatory report for `--heap`: per-level
-/// census, unique/computed table health, sharing, and the sifting-gain
-/// estimate — the same deep scan `smc inspect` runs.
-fn print_heap(manager: &BddManager) {
-    print!("{}", manager.heap_snapshot(HEAP_TOP_DEFAULT).render_human());
+/// Renders one model diagnostic with its stable code and source snippet.
+fn diag_text(path: &str, source: &str, diagnostic: Diagnostic) -> String {
+    let mut report = Report::new();
+    report.push(diagnostic);
+    report.render_human(path, source)
 }
 
 /// Why a governed load did not produce a model.
@@ -491,11 +526,7 @@ fn load_governed(
         SmvError::Kripke(KripkeError::Bdd(BddError::ResourceExhausted(reason))) => {
             LoadFailure::Exhausted(Phase::Reachability, reason, PartialProgress::default())
         }
-        other => {
-            let mut report = Report::new();
-            report.push(smc::analysis::smv_diag(&other));
-            LoadFailure::Diagnostic(report.render_human(path, &source))
-        }
+        other => LoadFailure::Diagnostic(diag_text(path, &source, smc::analysis::smv_diag(&other))),
     })
 }
 
@@ -574,10 +605,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let mut trace = false;
-    let mut lint = false;
-    let mut coi = false;
-    let mut heap = false;
+    let (mut trace, mut lint, mut coi, mut heap) = (false, false, false, false);
     let mut strategy = CycleStrategy::Restart;
     let opts = parse_common(args, |args, i| {
         match args[*i].as_str() {
@@ -587,15 +615,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             "--heap" => heap = true,
             "--strategy" => {
                 *i += 1;
-                match args.get(*i).map(String::as_str) {
-                    Some("restart") => strategy = CycleStrategy::Restart,
-                    Some("stayset") => strategy = CycleStrategy::StaySet,
-                    other => {
-                        return Err(format!(
-                            "--strategy expects 'restart' or 'stayset', got {other:?}"
-                        ))
-                    }
-                }
+                strategy = parse_strategy(args.get(*i))?;
             }
             _ => return Ok(false),
         }
@@ -608,266 +628,102 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     if lint {
         lint_to_stderr(file, opts.budget.to_budget());
     }
-    if coi {
-        if let Some(code) = check_with_coi(file, &opts, &session, trace, heap, strategy)? {
-            return Ok(code);
-        }
-    }
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
-        Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
+    let job = read_job(file, None)?;
+    let cfg = EngineConfig { want_trace: trace, coi, strategy, ..opts.budget.engine_config() };
+    let (outcome, after) = run_cli_job(&job, &cfg, &opts, &session, heap);
+    let (specs, exhausted) = match outcome {
+        JobOutcome::NoSpecs => {
             session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
+            println!("{file}: no SPEC sections");
+            return Ok(ExitCode::SUCCESS);
         }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
+        JobOutcome::InputError { message, diagnostic } => {
+            return input_error(file, &job.source, message, diagnostic, &session)
         }
-        Err(LoadFailure::Other(e)) => return Err(e),
+        JobOutcome::Checked { specs } => (specs, None),
+        JobOutcome::Exhausted { phase, reason, decided, partial } => {
+            // A trip after the load names the spec it stopped on; a trip
+            // during the load left no manager (and decided nothing).
+            if after.is_some() {
+                eprintln!("SPEC {}: not decided", decided.len());
+            }
+            (decided, Some((phase, reason, partial)))
+        }
     };
-    if compiled.specs.is_empty() {
-        session.finish();
-        println!("{file}: no SPEC sections");
-        return Ok(ExitCode::SUCCESS);
-    }
-    let specs: Vec<_> = compiled.specs.iter().map(|s| s.formula.clone()).collect();
-    // Run every check first (the checker borrows the model mutably),
-    // then render with the decode tables. A budget trip stops the loop
-    // but still renders the specs decided so far (and, with --stats,
-    // the manager counters) before exiting 3.
-    let mut results = Vec::with_capacity(specs.len());
-    let mut exhausted: Option<(Phase, TripReason, PartialProgress)> = None;
-    {
-        let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
-        for (i, spec) in specs.iter().enumerate() {
-            let outcome = if trace {
-                checker.check_with_trace(spec).map(|o| (o.verdict.holds(), o.trace))
-            } else {
-                checker.check(spec).map(|v| (v.holds(), None))
-            };
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-                    eprintln!("SPEC {i}: not decided");
-                    exhausted = Some((phase, reason, partial));
-                    break;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    let mut all_hold = true;
-    for (i, (verdict, trace)) in results.into_iter().enumerate() {
-        all_hold &= verdict;
-        println!("SPEC {i}: {}", if verdict { "holds" } else { "FAILS" });
-        if let Some(trace) = trace {
-            let kind = if verdict { "witness" } else { "counterexample" };
-            println!(
-                "-- {kind}: {} states{} --",
-                trace.len(),
-                trace
-                    .loopback
-                    .map(|_| format!(", cycle of {}", trace.cycle_len()))
-                    .unwrap_or_default()
-            );
-            for (j, state) in trace.states.iter().enumerate() {
-                if Some(j) == trace.loopback {
-                    println!("-- loop starts here --");
-                }
-                println!("state {j}: {}", compiled.render_state(state));
-            }
-            if let Some(l) = trace.loopback {
-                println!("-- loop back to state {l} --");
-            }
-        }
-    }
-    if opts.stats {
-        print_stats(compiled.model.manager());
-    }
-    if heap {
-        print_heap(compiled.model.manager());
-    }
-    session.record_model(&compiled.model);
-    session.finish();
-    if let Some((phase, reason, partial)) = exhausted {
-        return Ok(report_exhausted(phase, &reason, &partial));
-    }
-    Ok(if all_hold { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    print_spec_results(&specs);
+    Ok(finish_job(after, &session, exhausted, specs.iter().all(|s| s.holds)))
 }
 
-/// Parses and flattens `path` quietly for `--coi` planning and
-/// `smc deps`. `None` on any read/parse/flatten problem — `--coi`
-/// callers then fall back to the ordinary loader, which owns the
-/// diagnostics rendering.
-fn coi_module_for(path: &str) -> Option<smc::smv::Module> {
-    let source = std::fs::read_to_string(path).ok()?;
-    let program = smc::smv::parse(&source).ok()?;
-    smc::smv::flatten(&program).ok()
+/// The engine job `check` or `spec` runs: the model file's source and
+/// the ad-hoc formula, if any.
+fn read_job(path: &str, spec: Option<&String>) -> Result<Job, String> {
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    Ok(Job { name: path.to_string(), source, spec: spec.cloned() })
 }
 
-/// The `smc check --coi` fast path: plan per-spec cones, print one
-/// report line per spec to stderr, and check each SPEC on its sliced
-/// model (fallback specs share one full compile). The stdout verdict
-/// lines are byte-identical to a run without `--coi`.
-///
-/// Returns `Ok(None)` when the run must fall back to the ordinary
-/// full-model path: the model does not parse, there are no specs,
-/// nothing slices, traces were requested (they render every variable),
-/// or some compile fails.
-fn check_with_coi(
-    file: &str,
+/// Runs `check` / `spec` as one engine job on this thread (no pool, no
+/// cache) and prints its COI report lines to stderr. The manager the
+/// last verdict came from feeds the metrics registry and the returned
+/// `--stats` / `--heap` text, which is `None` when no manager survived
+/// the load.
+fn run_cli_job(
+    job: &Job,
+    cfg: &EngineConfig,
     opts: &CommonOptions,
     session: &TeleSession,
-    trace: bool,
     heap: bool,
-    strategy: CycleStrategy,
-) -> Result<Option<ExitCode>, Box<dyn std::error::Error>> {
-    use smc::smv::{compile_module_with_options, CompileOptions};
-
-    let Some(module) = coi_module_for(file) else { return Ok(None) };
-    let plan = smc::analysis::plan_coi(&module);
-    for spec in &plan.specs {
-        eprintln!("{}", spec.report);
-    }
-    if trace || plan.specs.is_empty() || !plan.any_sliced() {
-        return Ok(None);
-    }
-    // Compile every model up front (sliced specs their slice, fallback
-    // specs one shared full model), so any compile problem can still
-    // fall back before the first verdict prints.
-    let compile = |m: &smc::smv::Module| {
-        compile_module_with_options(
-            m,
-            opts.budget.to_budget(),
-            session.tele.clone(),
-            CompileOptions::default(),
-        )
-    };
-    let mut models: Vec<Option<CompiledModel>> = Vec::with_capacity(plan.specs.len());
-    let mut full: Option<CompiledModel> = None;
-    for spec in &plan.specs {
-        match &spec.module {
-            Some(sliced) => match compile(sliced) {
-                Ok(c) if c.specs.len() == 1 => models.push(Some(c)),
-                _ => return Ok(None),
-            },
-            None => {
-                if full.is_none() {
-                    match compile(&module) {
-                        Ok(c) if c.specs.len() == plan.specs.len() => full = Some(c),
-                        _ => return Ok(None),
-                    }
-                }
-                models.push(None);
-            }
+) -> (JobOutcome, Option<String>) {
+    let mut after: Option<String> = None;
+    let result = smc::engine::run_job(0, job, cfg, None, 0, session.tele.clone(), &mut |model| {
+        if after.is_some() {
+            return; // the first visit is the last verdict's manager
         }
-    }
-    let mut all_hold = true;
-    for (spec, slot) in plan.specs.iter().zip(models.iter_mut()) {
-        let (compiled, spec_at) = match slot {
-            Some(c) => (c, 0),
-            None => (full.as_mut().expect("fallback model compiled"), spec.index),
-        };
-        let formula = compiled.specs[spec_at].formula.clone();
-        let outcome = {
-            let mut checker = Checker::new(&mut compiled.model).with_strategy(strategy);
-            checker.check(&formula)
-        };
-        match outcome {
-            Ok(v) => {
-                all_hold &= v.holds();
-                println!("SPEC {}: {}", spec.index, if v.holds() { "holds" } else { "FAILS" });
-            }
-            Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-                eprintln!("SPEC {}: not decided", spec.index);
-                if opts.stats {
-                    print_stats(compiled.model.manager());
-                }
-                if heap {
-                    print_heap(compiled.model.manager());
-                }
-                session.record_model(&compiled.model);
-                session.finish();
-                return Ok(Some(report_exhausted(phase, &reason, &partial)));
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    // --stats, --heap and the metrics snapshot report the last manager
-    // used — under COI every spec may run on its own manager.
-    if let Some(c) = models.last().and_then(Option::as_ref).or(full.as_ref()) {
+        let mut text = String::new();
         if opts.stats {
-            print_stats(c.model.manager());
+            text.push_str(&stats_text(model.manager()));
         }
         if heap {
-            print_heap(c.model.manager());
+            text.push_str(&model.manager().heap_snapshot(HEAP_TOP_DEFAULT).render_human());
         }
-        session.record_model(&c.model);
+        session.record_model(model);
+        after = Some(text);
+    });
+    session.tele.flush(); // clear a live progress line first
+    for line in &result.coi {
+        eprintln!("{line}");
     }
-    session.finish();
-    Ok(Some(if all_hold { ExitCode::SUCCESS } else { ExitCode::from(1) }))
+    (result.outcome, after)
 }
 
-/// The `smc spec --coi` fast path: seed the cone from the formula's
-/// atoms and check on the sliced model. `Ok(None)` falls back to the
-/// ordinary path (unparseable formula or model, unresolvable atoms, no
-/// sound slice, compile failure).
-fn spec_with_coi(
+/// Reports a job's input error: a model diagnostic renders with its
+/// source snippet (exit 2); anything else is the usual `error:` line.
+fn input_error(
     file: &str,
-    formula: &str,
-    opts: &CommonOptions,
+    source: &str,
+    message: String,
+    diagnostic: Option<Diagnostic>,
     session: &TeleSession,
-    heap: bool,
-) -> Result<Option<ExitCode>, Box<dyn std::error::Error>> {
-    use smc::smv::{compile_module_with_options, CompileOptions};
+) -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let Some(diagnostic) = diagnostic else { return Err(message.into()) };
+    eprint!("{}", diag_text(file, source, diagnostic));
+    session.finish();
+    Ok(ExitCode::from(2))
+}
 
-    let Ok(ctl) = smc::logic::ctl::parse(formula) else { return Ok(None) };
-    let atoms: Vec<String> =
-        smc::logic::atom_occurrences(&ctl).into_iter().map(|a| a.name).collect();
-    let Some(module) = coi_module_for(file) else { return Ok(None) };
-    let Some((sliced, report)) = smc::analysis::plan_adhoc_coi(&module, &atoms) else {
-        return Ok(None);
-    };
-    eprintln!("{report}");
-    let Ok(mut compiled) = compile_module_with_options(
-        &sliced,
-        opts.budget.to_budget(),
-        session.tele.clone(),
-        CompileOptions::default(),
-    ) else {
-        return Ok(None);
-    };
-    let outcome = {
-        let mut checker = Checker::new(&mut compiled.model);
-        checker.check(&ctl)
-    };
-    match outcome {
-        Ok(v) => {
-            println!("{ctl}: {}", if v.holds() { "holds" } else { "FAILS" });
-            if opts.stats {
-                print_stats(compiled.model.manager());
-            }
-            if heap {
-                print_heap(compiled.model.manager());
-            }
-            session.record_model(&compiled.model);
-            session.finish();
-            Ok(Some(if v.holds() { ExitCode::SUCCESS } else { ExitCode::from(1) }))
-        }
-        Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-            eprintln!("{ctl}: not decided");
-            if opts.stats {
-                print_stats(compiled.model.manager());
-            }
-            if heap {
-                print_heap(compiled.model.manager());
-            }
-            session.record_model(&compiled.model);
-            session.finish();
-            Ok(Some(report_exhausted(phase, &reason, &partial)))
-        }
-        Err(e) => Err(e.into()),
+/// Prints the post-run manager report, finishes the session and maps
+/// the job to its exit code (3 exhausted, 1 some spec fails, else 0).
+fn finish_job(
+    after: Option<String>,
+    session: &TeleSession,
+    exhausted: Option<(String, String, PartialProgress)>,
+    all_hold: bool,
+) -> ExitCode {
+    print!("{}", after.unwrap_or_default());
+    session.finish();
+    match exhausted {
+        Some((phase, reason, partial)) => report_exhausted(phase, reason, &partial),
+        None if all_hold => ExitCode::SUCCESS,
+        None => ExitCode::from(1),
     }
 }
 
@@ -875,7 +731,7 @@ fn spec_with_coi(
 /// manifest entry whose model file could not be read (reported in
 /// place, in manifest order, without aborting the batch).
 enum BatchLine {
-    Ran(smc::engine::JobResult),
+    Ran(Box<smc::engine::JobResult>),
     Unreadable { name: String, message: String },
 }
 
@@ -916,7 +772,7 @@ use smc::engine::json_escape as json_esc;
 const BATCH_JSON_SCHEMA: u64 = 2;
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    use smc::engine::{run_batch, EngineConfig, Job, JobOutcome};
+    use smc::engine::run_batch;
 
     let mut workers: usize = 1;
     let mut json = false;
@@ -927,50 +783,34 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut cache_cap: usize = smc::engine::DEFAULT_CACHE_CAP;
     let mut strategy = CycleStrategy::Restart;
-    let opts =
-        parse_common(args, |args, i| {
-            match args[*i].as_str() {
-                "--heap" => heap = true,
-                "--jobs" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--jobs expects a number")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--jobs expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--json" => json = true,
-                "--trace" => trace = true,
-                "--coi" => coi = true,
-                "--no-cache" => no_cache = true,
-                "--cache-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
-                    cache_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--cache-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-cap expects a number")?;
-                    cache_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--cache-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--strategy" => {
-                    *i += 1;
-                    match args.get(*i).map(String::as_str) {
-                        Some("restart") => strategy = CycleStrategy::Restart,
-                        Some("stayset") => strategy = CycleStrategy::StaySet,
-                        other => {
-                            return Err(format!(
-                                "--strategy expects 'restart' or 'stayset', got {other:?}"
-                            ))
-                        }
-                    }
-                }
-                _ => return Ok(false),
+    let opts = parse_common(args, |args, i| {
+        match args[*i].as_str() {
+            "--heap" => heap = true,
+            "--jobs" => {
+                *i += 1;
+                workers = positive("--jobs", args.get(*i))?;
             }
-            Ok(true)
-        })?;
+            "--json" => json = true,
+            "--trace" => trace = true,
+            "--coi" => coi = true,
+            "--no-cache" => no_cache = true,
+            "--cache-dir" => {
+                *i += 1;
+                let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
+                cache_dir = Some(std::path::PathBuf::from(v));
+            }
+            "--cache-cap" => {
+                *i += 1;
+                cache_cap = positive("--cache-cap", args.get(*i))?;
+            }
+            "--strategy" => {
+                *i += 1;
+                strategy = parse_strategy(args.get(*i))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     let [manifest_path] = &opts.positionals[..] else {
         return Err(
             "usage: smc batch [--jobs N] [--json] [--trace] [--no-cache] [COMMON] MANIFEST".into(),
@@ -1013,22 +853,24 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         workers,
         want_trace: trace,
         use_cache: !no_cache,
-        timeout: opts.budget.timeout_secs.map(Duration::from_secs),
-        node_limit: opts.budget.node_limit,
-        max_iters: opts.budget.max_iters,
         coi,
-        cancel: None,
         strategy,
         metrics: session.metrics.clone(),
         cache_dir,
         cache_cap,
-        recorder_cap: 0,
         heap,
+        ..opts.budget.engine_config()
     };
     let results = run_batch(jobs, &cfg);
+    // COI report lines go to stderr first, NAME:-prefixed, in job order.
+    for r in &results {
+        for line in &r.coi {
+            eprintln!("{}: {line}", r.name);
+        }
+    }
     for result in results {
         let slot = origins[result.index];
-        lines[slot] = Some(BatchLine::Ran(result));
+        lines[slot] = Some(BatchLine::Ran(Box::new(result)));
     }
 
     // Tally and exit class over every manifest entry.
@@ -1086,9 +928,9 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     println!("== {} ==", r.name);
                     match &r.outcome {
                         JobOutcome::NoSpecs => println!("no SPEC sections"),
-                        JobOutcome::InputError { message } => eprintln!("error: {message}"),
+                        JobOutcome::InputError { message, .. } => eprintln!("error: {message}"),
                         JobOutcome::Checked { specs } => print_spec_results(specs),
-                        JobOutcome::Exhausted { phase, reason, decided } => {
+                        JobOutcome::Exhausted { phase, reason, decided, .. } => {
                             print_spec_results(decided);
                             println!("SPEC {}: not decided", decided.len());
                             eprintln!("resource budget exhausted during {phase}: {reason}");
@@ -1113,9 +955,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    use smc::engine::{
-        serve, serve_tcp, spawn_metrics_endpoint, EngineConfig, ServerConfig, StatusBoard,
-    };
+    use smc::engine::{serve, serve_tcp, spawn_metrics_endpoint, ServerConfig, StatusBoard};
 
     fn secs(name: &str, v: Option<&String>) -> Result<Duration, String> {
         let v = v.ok_or_else(|| format!("{name} expects seconds"))?;
@@ -1143,106 +983,74 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut coi = false;
     let mut no_cache = false;
     let mut strategy = CycleStrategy::Restart;
-    let opts =
-        parse_common(args, |args, i| {
-            match args[*i].as_str() {
-                "--jobs" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--jobs expects a number")?;
-                    workers =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--jobs expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--listen" => {
-                    *i += 1;
-                    listen = Some(args.get(*i).ok_or("--listen expects an address")?.clone());
-                }
-                "--metrics-addr" => {
-                    *i += 1;
-                    metrics_addr =
-                        Some(args.get(*i).ok_or("--metrics-addr expects an address")?.clone());
-                }
-                "--max-queue" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--max-queue expects a number")?;
-                    max_queue = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("--max-queue expects a number, got {v:?}"))?;
-                }
-                "--quarantine-after" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--quarantine-after expects a number")?;
-                    quarantine_after = v
-                        .parse::<u32>()
-                        .map_err(|_| format!("--quarantine-after expects a number, got {v:?}"))?;
-                }
-                "--watchdog" => {
-                    *i += 1;
-                    watchdog = Some(secs("--watchdog", args.get(*i))?);
-                }
-                "--drain-timeout" => {
-                    *i += 1;
-                    drain_timeout = Some(secs("--drain-timeout", args.get(*i))?);
-                }
-                "--retry-after-ms" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--retry-after-ms expects a number")?;
-                    retry_after_ms = v
-                        .parse::<u64>()
-                        .map_err(|_| format!("--retry-after-ms expects a number, got {v:?}"))?;
-                }
-                "--cache-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
-                    cache_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--cache-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--cache-cap expects a number")?;
-                    cache_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--cache-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--dump-dir" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--dump-dir expects a directory")?;
-                    dump_dir = Some(std::path::PathBuf::from(v));
-                }
-                "--dump-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--dump-cap expects a number")?;
-                    dump_cap = v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--dump-cap expects a positive number, got {v:?}")
-                    })?;
-                }
-                "--recorder-cap" => {
-                    *i += 1;
-                    let v = args.get(*i).ok_or("--recorder-cap expects a number")?;
-                    recorder_cap =
-                        v.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            format!("--recorder-cap expects a positive number, got {v:?}")
-                        })?;
-                }
-                "--trace" => trace = true,
-                "--coi" => coi = true,
-                "--no-cache" => no_cache = true,
-                "--strategy" => {
-                    *i += 1;
-                    match args.get(*i).map(String::as_str) {
-                        Some("restart") => strategy = CycleStrategy::Restart,
-                        Some("stayset") => strategy = CycleStrategy::StaySet,
-                        other => {
-                            return Err(format!(
-                                "--strategy expects 'restart' or 'stayset', got {other:?}"
-                            ))
-                        }
-                    }
-                }
-                _ => return Ok(false),
+    let opts = parse_common(args, |args, i| {
+        match args[*i].as_str() {
+            "--jobs" => {
+                *i += 1;
+                workers = positive("--jobs", args.get(*i))?;
             }
-            Ok(true)
-        })?;
+            "--listen" => {
+                *i += 1;
+                listen = Some(args.get(*i).ok_or("--listen expects an address")?.clone());
+            }
+            "--metrics-addr" => {
+                *i += 1;
+                metrics_addr =
+                    Some(args.get(*i).ok_or("--metrics-addr expects an address")?.clone());
+            }
+            "--max-queue" => {
+                *i += 1;
+                max_queue = number("--max-queue", args.get(*i))?;
+            }
+            "--quarantine-after" => {
+                *i += 1;
+                quarantine_after = number("--quarantine-after", args.get(*i))?;
+            }
+            "--watchdog" => {
+                *i += 1;
+                watchdog = Some(secs("--watchdog", args.get(*i))?);
+            }
+            "--drain-timeout" => {
+                *i += 1;
+                drain_timeout = Some(secs("--drain-timeout", args.get(*i))?);
+            }
+            "--retry-after-ms" => {
+                *i += 1;
+                retry_after_ms = number("--retry-after-ms", args.get(*i))?;
+            }
+            "--cache-dir" => {
+                *i += 1;
+                let v = args.get(*i).ok_or("--cache-dir expects a directory")?;
+                cache_dir = Some(std::path::PathBuf::from(v));
+            }
+            "--cache-cap" => {
+                *i += 1;
+                cache_cap = positive("--cache-cap", args.get(*i))?;
+            }
+            "--dump-dir" => {
+                *i += 1;
+                let v = args.get(*i).ok_or("--dump-dir expects a directory")?;
+                dump_dir = Some(std::path::PathBuf::from(v));
+            }
+            "--dump-cap" => {
+                *i += 1;
+                dump_cap = positive("--dump-cap", args.get(*i))?;
+            }
+            "--recorder-cap" => {
+                *i += 1;
+                recorder_cap = positive("--recorder-cap", args.get(*i))?;
+            }
+            "--trace" => trace = true,
+            "--coi" => coi = true,
+            "--no-cache" => no_cache = true,
+            "--strategy" => {
+                *i += 1;
+                strategy = parse_strategy(args.get(*i))?;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     if !opts.positionals.is_empty() {
         return Err(format!(
             "smc serve takes no positional arguments, got {:?} (requests arrive as NDJSON on stdin or --listen)",
@@ -1263,17 +1071,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         workers,
         want_trace: trace,
         use_cache: !no_cache,
-        timeout: opts.budget.timeout_secs.map(Duration::from_secs),
-        node_limit: opts.budget.node_limit,
-        max_iters: opts.budget.max_iters,
         coi,
-        cancel: None,
         strategy,
         metrics: metrics.clone(),
         cache_dir,
         cache_cap,
         recorder_cap,
-        heap: false,
+        ..opts.budget.engine_config()
     };
     // One introspection surface shared by {"op":"status"} and the HTTP
     // /status route of the metrics endpoint.
@@ -1288,6 +1092,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         dump_dir,
         dump_cap,
         status: Some(status.clone()),
+        log: Some(|line| eprintln!("{line}")),
     };
     if let Some(addr) = &metrics_addr {
         let bound = spawn_metrics_endpoint(addr, metrics.clone(), Some(status))
@@ -1313,23 +1118,15 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn cmd_spec(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let mut lint = false;
-    let mut coi = false;
-    let mut heap = false;
-    let opts = parse_common(args, |args, i| match args[*i].as_str() {
-        "--lint" => {
-            lint = true;
-            Ok(true)
+    let (mut lint, mut coi, mut heap) = (false, false, false);
+    let opts = parse_common(args, |args, i| {
+        match args[*i].as_str() {
+            "--lint" => lint = true,
+            "--coi" => coi = true,
+            "--heap" => heap = true,
+            _ => return Ok(false),
         }
-        "--coi" => {
-            coi = true;
-            Ok(true)
-        }
-        "--heap" => {
-            heap = true;
-            Ok(true)
-        }
-        _ => Ok(false),
+        Ok(true)
     })?;
     let [file, formula] = &opts.positionals[..] else {
         return Err("usage: smc spec [--lint] [--coi] [--heap] [COMMON] FILE.smv FORMULA".into());
@@ -1338,53 +1135,24 @@ fn cmd_spec(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     if lint {
         lint_to_stderr(file, opts.budget.to_budget());
     }
-    if coi {
-        if let Some(code) = spec_with_coi(file, formula, &opts, &session, heap)? {
-            return Ok(code);
+    let job = read_job(file, Some(formula))?;
+    let cfg = EngineConfig { coi, ..opts.budget.engine_config() };
+    let (outcome, after) = run_cli_job(&job, &cfg, &opts, &session, heap);
+    let (specs, exhausted) = match outcome {
+        JobOutcome::InputError { message, diagnostic } => {
+            return input_error(file, &job.source, message, diagnostic, &session)
         }
-    }
-    let mut compiled = match load_governed(file, opts.budget.to_budget(), session.tele.clone()) {
-        Ok(compiled) => compiled,
-        Err(LoadFailure::Exhausted(phase, reason, partial)) => {
+        JobOutcome::Checked { specs } => (specs, None),
+        JobOutcome::NoSpecs => (Vec::new(), None),
+        JobOutcome::Exhausted { phase, reason, partial, .. } => {
             eprintln!("{formula}: not decided");
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
+            (Vec::new(), Some((phase, reason, partial)))
         }
-        Err(LoadFailure::Diagnostic(text)) => {
-            eprint!("{text}");
-            session.finish();
-            return Ok(ExitCode::from(2));
-        }
-        Err(LoadFailure::Other(e)) => return Err(e),
     };
-    let spec = smc::logic::ctl::parse(formula)?;
-    let mut checker = Checker::new(&mut compiled.model);
-    let verdict = match checker.check(&spec) {
-        Ok(v) => Ok(v),
-        Err(CheckError::ResourceExhausted { phase, reason, partial }) => {
-            eprintln!("{spec}: not decided");
-            if opts.stats {
-                print_stats(checker.model().manager());
-            }
-            if heap {
-                print_heap(checker.model().manager());
-            }
-            session.record_model(checker.model());
-            session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
-        }
-        Err(e) => Err(e),
-    }?;
-    println!("{spec}: {}", if verdict.holds() { "holds" } else { "FAILS" });
-    if opts.stats {
-        print_stats(compiled.model.manager());
+    for s in &specs {
+        println!("{}: {}", s.formula, if s.holds { "holds" } else { "FAILS" });
     }
-    if heap {
-        print_heap(compiled.model.manager());
-    }
-    session.record_model(&compiled.model);
-    session.finish();
-    Ok(if verdict.holds() { ExitCode::SUCCESS } else { ExitCode::from(1) })
+    Ok(finish_job(after, &session, exhausted, specs.iter().all(|s| s.holds)))
 }
 
 fn cmd_dot(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -1424,9 +1192,7 @@ fn cmd_deps(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let module = match smc::smv::parse(&source).and_then(|p| smc::smv::flatten(&p)) {
         Ok(m) => m,
         Err(e) => {
-            let mut report = Report::new();
-            report.push(smc::analysis::smv_diag(&e));
-            eprint!("{}", report.render_human(file, &source));
+            eprint!("{}", diag_text(file, &source, smc::analysis::smv_diag(&e)));
             return Ok(ExitCode::from(2));
         }
     };
@@ -1485,7 +1251,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         Ok(compiled) => compiled,
         Err(LoadFailure::Exhausted(phase, reason, partial)) => {
             session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
+            return Ok(report_exhausted(phase, reason, &partial));
         }
         Err(LoadFailure::Diagnostic(text)) => {
             eprint!("{text}");
@@ -1503,11 +1269,11 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         Err(e) => match CheckError::from(e) {
             CheckError::ResourceExhausted { phase, reason, partial } => {
                 if opts.stats {
-                    print_stats(compiled.model.manager());
+                    print!("{}", stats_text(compiled.model.manager()));
                 }
                 session.record_model(&compiled.model);
                 session.finish();
-                return Ok(report_exhausted(phase, &reason, &partial));
+                return Ok(report_exhausted(phase, reason, &partial));
             }
             other => return Err(other.into()),
         },
@@ -1517,7 +1283,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         println!("an initial state: {}", compiled.render_state(&s0));
     }
     if opts.stats {
-        print_stats(compiled.model.manager());
+        print!("{}", stats_text(compiled.model.manager()));
     }
     session.record_model(&compiled.model);
     session.finish();
@@ -1536,12 +1302,7 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
             "--json" => json = true,
             "--top" => {
                 *i += 1;
-                let v = args.get(*i).ok_or("--top expects a number")?;
-                top = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--top expects a positive number, got {v:?}"))?;
+                top = positive("--top", args.get(*i))?;
             }
             "--at" => {
                 *i += 1;
@@ -1586,7 +1347,7 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
         Ok(compiled) => compiled,
         Err(LoadFailure::Exhausted(phase, reason, partial)) => {
             session.finish();
-            return Ok(report_exhausted(phase, &reason, &partial));
+            return Ok(report_exhausted(phase, reason, &partial));
         }
         Err(LoadFailure::Diagnostic(text)) => {
             eprint!("{text}");
@@ -1645,7 +1406,7 @@ fn cmd_inspect(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> 
     session.record_model(&compiled.model);
     session.finish();
     if let Some((phase, reason, partial)) = exhausted {
-        return Ok(report_exhausted(phase, &reason, &partial));
+        return Ok(report_exhausted(phase, reason, &partial));
     }
     Ok(ExitCode::SUCCESS)
 }

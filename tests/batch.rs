@@ -260,8 +260,19 @@ fn empty_or_missing_manifest_is_usage_error() {
 #[test]
 fn coi_keeps_batch_stdout_identical_and_reports_on_stderr() {
     let fx = Fixture::new("coi");
-    let run =
-        |extra: &[&str]| smc().arg("batch").args(extra).arg(&fx.manifest).output().expect("runs");
+    // One more job: an ad-hoc formula, sliced to the cone of its atoms.
+    let mut text = std::fs::read_to_string(&fx.manifest).expect("manifest");
+    text.push_str("models/pipeline.smv EF blink\n");
+    let manifest = write_temp("coi_adhoc_manifest", &text);
+    let run = |extra: &[&str]| {
+        smc()
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .arg("batch")
+            .args(extra)
+            .arg(&manifest)
+            .output()
+            .expect("runs")
+    };
     let plain = run(&["--jobs", "2", "--no-cache"]);
     let coi = run(&["--jobs", "2", "--no-cache", "--coi"]);
     assert_eq!(plain.status.code(), coi.status.code());
@@ -275,4 +286,32 @@ fn coi_keeps_batch_stdout_identical_and_reports_on_stderr() {
     let stderr = String::from_utf8_lossy(&coi.stderr);
     assert!(stderr.contains("coi: spec"), "{stderr}");
     assert!(stderr.contains("sliced away"), "{stderr}");
+    // The cone `smc spec --coi` reports for the formula, NAME:-prefixed.
+    assert!(stderr.contains("models/pipeline.smv: coi: formula uses 2/6 vars"), "{stderr}");
+    std::fs::remove_file(manifest).ok();
+}
+
+/// Under `--coi` a job spreads over one manager per cone; `--heap`
+/// reports the one its last verdict came from, exactly as
+/// `smc check --coi --heap` does.
+#[test]
+fn coi_heap_reports_the_last_verdicts_manager() {
+    let model = write_temp("coi_heap_counter", COUNTER);
+    let manifest = write_temp("coi_heap_manifest", &format!("{}\n", model.display()));
+    let out = smc().args(["batch", "--coi", "--heap"]).arg(&manifest).output().expect("runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.starts_with("heap: ")).expect("a heap line");
+    let batch_live = line["heap: ".len()..].split(' ').next().expect("live count");
+
+    let check = smc().args(["check", "--coi", "--heap"]).arg(&model).output().expect("runs");
+    let report = String::from_utf8_lossy(&check.stdout);
+    let nodes = report.lines().find(|l| l.starts_with("nodes ")).expect("a nodes line");
+    let check_live = nodes.split(':').nth(1).and_then(|r| r.split_whitespace().next());
+    assert_eq!(Some(batch_live), check_live, "{line}\n{report}");
+    // The sliced `AF b0` manager, not the full model's heap.
+    let full = smc().args(["batch", "--heap"]).arg(&manifest).output().expect("runs");
+    assert!(!String::from_utf8_lossy(&full.stdout).contains(line), "{line}");
+    std::fs::remove_file(model).ok();
+    std::fs::remove_file(manifest).ok();
 }

@@ -830,6 +830,34 @@ fn spec_coi_slices_from_the_formula_atoms() {
     assert!(stderr.contains("coi: formula uses 2/6 vars"), "{stderr}");
 }
 
+/// Two independent variables: reachability converges at once (every
+/// state is initial), `EF y` needs 2 EU iterations and `EF x = 15`
+/// needs 15, so `--max-iters 5` trips inside SPEC 1's sliced cone,
+/// after both slices compiled.
+const TWO_CONES: &str = "MODULE main\nVAR\n  x : 0..15;\n  y : boolean;\nASSIGN\n  \
+                         next(x) := (x + 1) mod 16;\nSPEC EF y\nSPEC EF x = 15\n";
+
+#[test]
+fn check_coi_budget_trip_inside_a_sliced_cone_exits_3() {
+    let path = write_temp("two_cones", TWO_CONES);
+    let run = |extra: &[&str]| {
+        smc().arg("check").args(extra).args(["--max-iters", "5"]).arg(&path).output().expect("runs")
+    };
+    let coi = run(&["--coi"]);
+    assert_eq!(coi.status.code(), Some(3), "{coi:?}");
+    assert_eq!(String::from_utf8_lossy(&coi.stdout), "SPEC 0: holds\n");
+    let stderr = String::from_utf8_lossy(&coi.stderr);
+    assert!(stderr.contains("coi: spec 1 uses 1/2 vars (1 sliced away)"), "{stderr}");
+    assert!(stderr.contains("SPEC 1: not decided"), "{stderr}");
+    assert!(stderr.contains("resource budget exhausted during EU fixpoint"), "{stderr}");
+    assert!(stderr.contains("partial progress: 6 iterations"), "{stderr}");
+    // The decided prefix and the exit code are the unsliced run's.
+    let plain = run(&[]);
+    assert_eq!(plain.status.code(), Some(3));
+    assert_eq!(plain.stdout, coi.stdout);
+    std::fs::remove_file(path).ok();
+}
+
 // ---------------------------------------------------- inspect + --heap
 
 /// `smc inspect --json` must emit one schema-versioned snapshot whose

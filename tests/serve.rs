@@ -327,9 +327,16 @@ fn bad_requests_are_rejected_without_killing_the_server() {
 fn coi_serve_answers_with_identical_verdicts() {
     // `AF b0` depends only on b0, so the COI planner slices COUNTER down
     // to 1/2 variables for that spec — the verdict payload must not move.
-    let req = format!(r#"{{"op":"check","id":"c","source":"{}"}}"#, esc(COUNTER));
-    let (plain_code, plain) = serve(&[], std::slice::from_ref(&req));
-    let (coi_code, coi) = serve(&["--coi"], &[req]);
+    // An ad-hoc formula is sliced to the cone of its own atoms (2/6).
+    let reqs = [
+        format!(r#"{{"op":"check","id":"c","source":"{}"}}"#, esc(COUNTER)),
+        format!(
+            r#"{{"op":"check","id":"a","path":"{}","spec":"EF blink"}}"#,
+            esc(concat!(env!("CARGO_MANIFEST_DIR"), "/models/pipeline.smv"))
+        ),
+    ];
+    let (plain_code, plain) = serve(&[], &reqs);
+    let (coi_code, coi) = serve(&["--coi"], &reqs);
     assert_eq!((plain_code, coi_code), (0, 0), "{plain:?} vs {coi:?}");
     // Work counters (wall_us, created_nodes, ...) legitimately differ
     // under slicing; the per-spec verdict array must be byte-identical.
@@ -338,10 +345,12 @@ fn coi_serve_answers_with_identical_verdicts() {
         line[at..].to_string()
     };
     assert_eq!(verdicts(&plain[0]), verdicts(&coi[0]));
+    assert_eq!(verdicts(&plain[1]), verdicts(&coi[1]));
     assert!(coi[0].contains(r#""outcome":"pass""#), "{}", coi[0]);
+    assert!(coi[1].contains(r#""formula":"EF blink","holds":true"#), "{}", coi[1]);
     assert!(
-        coi[1].starts_with(r#"{"schema":1,"op":"drained","served":1,"rejected":0,"worst_exit":0"#),
+        coi[2].starts_with(r#"{"schema":1,"op":"drained","served":2,"rejected":0,"worst_exit":0"#),
         "{}",
-        coi[1]
+        coi[2]
     );
 }
