@@ -1,10 +1,12 @@
 #![warn(missing_docs)]
 
-//! # smc-bench — workload generators for the evaluation harness
+//! # smc-bench — workload generators and the benchmark observatory
 //!
-//! Shared model builders used by the Criterion benches (one per
-//! experiment of DESIGN.md) and by the `experiments` report binary that
-//! regenerates the paper-vs-measured tables of EXPERIMENTS.md.
+//! Model builders for the paper's evaluation (EXPERIMENTS.md): the
+//! Figure 1/2 witness-shape graphs, the Theorem 1 instances and random
+//! fair graphs. `tests/paper_experiments.rs` pins their structural
+//! results; [`observatory`] times them, with the rest of the families,
+//! behind `smc bench`.
 
 pub mod observatory;
 

@@ -1,11 +1,11 @@
 //! The benchmark observatory behind `smc bench`.
 //!
-//! Runs a fixed menu of model families — the SMV demo models and the
-//! paper's circuit workloads — for N repetitions each, timing the four
-//! standard phases (`compile`, `reach`, `check`, `witness`) and
-//! snapshotting the deterministic workload counters, and returns
-//! [`FamilyRecord`]s in the ledger schema of
-//! [`smc_obs::Ledger`]. The caller (the CLI) wraps
+//! Runs a fixed menu of model families — the SMV demo models, the
+//! paper's circuit workloads and the explicit-state experiments — for N
+//! repetitions each, timing each family's phases (the model families'
+//! standard `compile`, `reach`, `check`, `witness`) and snapshotting the
+//! deterministic workload counters, and returns [`FamilyRecord`]s in the
+//! ledger schema of [`smc_obs::Ledger`]. The caller (the CLI) wraps
 //! them in a [`RunRecord`](smc_obs::RunRecord) with the commit hash and
 //! timestamp and gates against a stored baseline.
 //!
@@ -19,6 +19,7 @@ use smc_checker::Checker;
 use smc_circuits::arbiter::seitz_arbiter;
 use smc_circuits::families::inverter_ring;
 use smc_circuits::FairnessMode;
+use smc_explicit::{greedy_fair_lasso, minimal_fair_lasso, ExplicitChecker};
 use smc_kripke::SymbolicModel;
 use smc_logic::ctl;
 use smc_obs::{FamilyRecord, PhaseRecord, Telemetry};
@@ -31,14 +32,23 @@ const PIPELINE_SMV: &str = include_str!("../../../models/pipeline.smv");
 /// Every family the observatory knows, in run order: the two SMV demo
 /// models, the paper's Seitz arbiter (counterexample-bearing liveness
 /// spec), a 9-stage inverter ring (witness-bearing reset spec), the
-/// parallel engine's batch throughput workload, and the
-/// cone-of-influence reduction on the three-component pipeline model.
-pub const ALL_FAMILIES: &[&str] = &["mutex", "arbiter2", "seitz", "ring9", "batch", "coi"];
+/// parallel engine's batch throughput workload, the cone-of-influence
+/// reduction on the three-component pipeline model, the exact minimal
+/// witness against the greedy one (Theorem 1), and symbolic against
+/// explicit-state checking.
+pub const ALL_FAMILIES: &[&str] =
+    &["mutex", "arbiter2", "seitz", "ring9", "batch", "coi", "minimal", "explicit"];
 
 /// Jobs in the batch family's manifest. Large enough that the pool's
 /// injector/steal machinery actually cycles, small enough for a
 /// sub-second repetition.
 const BATCH_JOBS: usize = 16;
+
+/// Ring sizes of the `minimal` family's Hamiltonian instances.
+const MINIMAL_SIZES: [usize; 3] = [4, 8, 12];
+
+/// Inverter-ring sizes of the `explicit` family.
+const EXPLICIT_SIZES: [usize; 3] = [5, 9, 13];
 
 /// Configuration for one observatory run.
 #[derive(Debug, Clone)]
@@ -51,18 +61,14 @@ pub struct BenchConfig {
     /// enabled path instead of the disabled default.
     pub telemetry: bool,
     /// Attach a flight-recorder ring (the `smc serve` black-box
-    /// capture) to every benchmarked manager, so the recorder's
-    /// overhead over the disabled default can be gated. Composes with
-    /// `telemetry`; the batch family runs its jobs with the engine's
-    /// per-job recorder instead.
+    /// capture) to every benchmarked manager, so the enabled
+    /// pipeline's overhead over the disabled default can be gated.
+    /// Composes with `telemetry`; the batch family runs its jobs with
+    /// the engine's per-job recorder instead, and also asks every job
+    /// for its final heap brief
+    /// ([`EngineConfig::heap`](smc_engine::EngineConfig)), so the batch
+    /// walls measure the whole recorder-plus-heap-observatory lane.
     pub recorder: bool,
-    /// Ask every batch job for a final heap brief
-    /// ([`EngineConfig::heap`](smc_engine::EngineConfig)) on top of the
-    /// cadence-gated samples that ride any enabled telemetry, so the
-    /// batch walls measure the whole heap-observatory lane. Implies
-    /// nothing by itself on families that never enable telemetry;
-    /// compose with `recorder` for the A/B the stress drill gates.
-    pub heap: bool,
     /// Families to run; empty means [`ALL_FAMILIES`].
     pub families: Vec<String>,
     /// Test hook: inflate every measured wall time by this percentage
@@ -77,7 +83,6 @@ impl Default for BenchConfig {
             repetitions: 5,
             telemetry: false,
             recorder: false,
-            heap: false,
             families: Vec::new(),
             inject_slowdown_pct: 0.0,
         }
@@ -116,45 +121,58 @@ pub fn run(config: &BenchConfig) -> Result<Vec<FamilyRecord>, String> {
         }
         ALL_FAMILIES.iter().copied().filter(|f| config.families.iter().any(|n| n == f)).collect()
     };
-    let mut out = Vec::with_capacity(selected.len());
-    for name in selected {
-        if name == "batch" {
-            out.push(run_batch_family(reps, config)?);
-            continue;
-        }
-        if name == "coi" {
-            out.push(run_coi_family(reps, config)?);
-            continue;
-        }
-        let mut times = Vec::with_capacity(reps as usize);
-        let mut counters = Vec::new();
-        for _ in 0..reps {
-            let (t, c) = run_family_once(name, config)?;
-            times.push(t);
-            counters = c;
-        }
-        let scale = 1.0 + config.inject_slowdown_pct / 100.0;
-        let phases = [
-            ("compile", times.iter().map(|t| t.compile).collect::<Vec<_>>()),
-            ("reach", times.iter().map(|t| t.reach).collect()),
-            ("check", times.iter().map(|t| t.check).collect()),
-            ("witness", times.iter().map(|t| t.witness).collect()),
-        ]
+    selected
+        .into_iter()
+        .map(|name| match name {
+            "batch" => run_batch_family(reps, config),
+            "coi" => run_coi_family(reps, config),
+            "minimal" => run_minimal_family(reps, config),
+            "explicit" => run_explicit_family(reps, config),
+            _ => run_model_family(name, reps, config),
+        })
+        .collect()
+}
+
+/// A model family: `reps` fresh repetitions of the four standard
+/// phases, with the counters of the last one (every repetition's are
+/// the same).
+fn run_model_family(name: &str, reps: u64, config: &BenchConfig) -> Result<FamilyRecord, String> {
+    let mut times = Vec::with_capacity(reps as usize);
+    let mut counters = Vec::new();
+    for _ in 0..reps {
+        let (t, c) = run_family_once(name, config)?;
+        times.push(t);
+        counters = c;
+    }
+    let phases = [
+        ("compile", times.iter().map(|t| t.compile).collect::<Vec<_>>()),
+        ("reach", times.iter().map(|t| t.reach).collect()),
+        ("check", times.iter().map(|t| t.check).collect()),
+        ("witness", times.iter().map(|t| t.witness).collect()),
+    ];
+    Ok(FamilyRecord {
+        name: name.to_string(),
+        phases: phase_records(config, phases),
+        counters,
+        throughput_jobs_per_s: None,
+    })
+}
+
+/// Best-of-N and median [`PhaseRecord`]s from per-repetition wall
+/// seconds, inflated by the configured test slowdown.
+fn phase_records<S: Into<String>>(
+    config: &BenchConfig,
+    phases: impl IntoIterator<Item = (S, Vec<f64>)>,
+) -> Vec<PhaseRecord> {
+    let scale = 1.0 + config.inject_slowdown_pct / 100.0;
+    phases
         .into_iter()
         .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
+            phase: phase.into(),
             median_s: median(&xs) * scale,
             best_s: best(&xs) * scale,
         })
-        .collect();
-        out.push(FamilyRecord {
-            name: name.to_string(),
-            phases,
-            counters,
-            throughput_jobs_per_s: None,
-        });
-    }
-    Ok(out)
+        .collect()
 }
 
 /// The batch family's fixed 16-job manifest: the embedded SMV models in
@@ -177,15 +195,15 @@ fn batch_jobs() -> Vec<smc_engine::Job> {
 /// One timed pass of the 16-job manifest on `workers` workers, caching
 /// off so every job does its full, deterministic amount of work. With
 /// `recorder` on, every job carries the serve-default flight-recorder
-/// ring, so the batch walls measure the recorder's capture overhead —
-/// which, since the ring enables telemetry, includes the cadence-gated
-/// heap samples. `heap` additionally requests the per-job heap brief.
-fn timed_batch(workers: usize, recorder: bool, heap: bool) -> (f64, Vec<smc_engine::JobResult>) {
+/// ring and requests the per-job heap brief, so the batch walls measure
+/// the whole enabled pipeline: the recorder's capture, the cadence-gated
+/// heap samples its telemetry turns on, and the final brief.
+fn timed_batch(workers: usize, recorder: bool) -> (f64, Vec<smc_engine::JobResult>) {
     let cfg = smc_engine::EngineConfig {
         workers,
         use_cache: false,
         recorder_cap: if recorder { smc_obs::DEFAULT_RECORDER_CAP } else { 0 },
-        heap,
+        heap: recorder,
         ..smc_engine::EngineConfig::default()
     };
     let t = Instant::now();
@@ -205,8 +223,8 @@ fn run_batch_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, Str
     let mut walls4 = Vec::with_capacity(reps as usize);
     let mut counters = Vec::new();
     for _ in 0..reps {
-        let (w1, r1) = timed_batch(1, config.recorder, config.heap);
-        let (w4, r4) = timed_batch(4, config.recorder, config.heap);
+        let (w1, r1) = timed_batch(1, config.recorder);
+        let (w4, r4) = timed_batch(4, config.recorder);
         if r1.len() != BATCH_JOBS || r4.len() != BATCH_JOBS {
             return Err(format!("batch: expected {BATCH_JOBS} results"));
         }
@@ -234,15 +252,7 @@ fn run_batch_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, Str
             })
             .collect();
     }
-    let scale = 1.0 + config.inject_slowdown_pct / 100.0;
-    let phases = [("jobs1", walls1), ("jobs4", walls4)]
-        .into_iter()
-        .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
-            median_s: median(&xs) * scale,
-            best_s: best(&xs) * scale,
-        })
-        .collect::<Vec<_>>();
+    let phases = phase_records(config, [("jobs1", walls1), ("jobs4", walls4)]);
     let throughput = BATCH_JOBS as f64 / phases[1].best_s.max(1e-9);
     Ok(FamilyRecord {
         name: "batch".to_string(),
@@ -337,16 +347,113 @@ fn run_coi_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, Strin
             ("coi_created_nodes".to_string(), cs.1),
         ];
     }
-    let scale = 1.0 + config.inject_slowdown_pct / 100.0;
-    let phases = [("full", walls_full), ("sliced", walls_sliced)]
-        .into_iter()
-        .map(|(phase, xs)| PhaseRecord {
-            phase: phase.to_string(),
-            median_s: median(&xs) * scale,
-            best_s: best(&xs) * scale,
-        })
-        .collect();
+    let phases = phase_records(config, [("full", walls_full), ("sliced", walls_sliced)]);
     Ok(FamilyRecord { name: "coi".to_string(), phases, counters, throughput_jobs_per_s: None })
+}
+
+/// The `minimal` family (EXP-4, Theorem 1): on each
+/// [`hamiltonian_instance`](crate::hamiltonian_instance)`(n)`, the exact
+/// minimal fair lasso (phase `exact{n}`) against the greedy
+/// nearest-constraint lasso (phase `greedy{n}`), with both lengths as
+/// exact counters.
+///
+/// Every repetition cross-checks the two: a greedy lasso shorter than
+/// the minimal one means the exact search is wrong, which fails the run
+/// outright (exit 2 at the CLI), not a gate.
+fn run_minimal_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, String> {
+    let mut phases = Vec::new();
+    let mut counters = Vec::new();
+    for n in MINIMAL_SIZES {
+        let (graph, masks) = crate::hamiltonian_instance(n);
+        let body = vec![true; n];
+        let (mut exact, mut greedy, mut lens) = (Vec::new(), Vec::new(), (0, 0));
+        for _ in 0..reps {
+            let t = Instant::now();
+            let minimal = minimal_fair_lasso(&graph, &masks, 0);
+            exact.push(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            let heuristic = greedy_fair_lasso(&graph, &masks, &body, 0);
+            greedy.push(t.elapsed().as_secs_f64());
+            let (Some(minimal), Some(heuristic)) = (minimal, heuristic) else {
+                return Err(format!("minimal: no fair lasso on the {n}-ring"));
+            };
+            if heuristic.len() < minimal.len() {
+                return Err(format!(
+                    "minimal: greedy lasso ({}) beats the minimal one ({}) on the {n}-ring \
+                     (exact-search bug, not a regression)",
+                    heuristic.len(),
+                    minimal.len()
+                ));
+            }
+            lens = (minimal.len() as u64, heuristic.len() as u64);
+        }
+        phases.push((format!("exact{n}"), exact));
+        phases.push((format!("greedy{n}"), greedy));
+        counters.push((format!("exact{n}_len"), lens.0));
+        counters.push((format!("greedy{n}_len"), lens.1));
+    }
+    Ok(FamilyRecord {
+        name: "minimal".to_string(),
+        phases: phase_records(config, phases),
+        counters,
+        throughput_jobs_per_s: None,
+    })
+}
+
+/// The `explicit` family (EXP-8): `AG (EF inv0)` on each per-gate-fair
+/// `inverter_ring(n)`, checked symbolically (phase `symbolic{n}`) and by
+/// enumerating the reachable states into the explicit-state checker
+/// (phase `explicit{n}`, enumeration included), with the state count and
+/// the symbolic check's created nodes as exact counters.
+///
+/// Every repetition cross-checks the verdicts: engines that disagree are
+/// a soundness bug and fail the run outright (exit 2 at the CLI), not a
+/// gate.
+fn run_explicit_family(reps: u64, config: &BenchConfig) -> Result<FamilyRecord, String> {
+    let spec = ctl::parse("AG (EF inv0)").map_err(|e| format!("explicit: {e}"))?;
+    let mut phases = Vec::new();
+    let mut counters = Vec::new();
+    for n in EXPLICIT_SIZES {
+        let (mut symbolic, mut explicit, mut counts) = (Vec::new(), Vec::new(), (0, 0));
+        for _ in 0..reps {
+            let mut model = inverter_ring(n)
+                .build(FairnessMode::PerGate)
+                .map_err(|e| format!("explicit: {e}"))?;
+            if config.telemetry || config.recorder {
+                model.manager_mut().set_telemetry(bench_telemetry(config));
+            }
+            let t = Instant::now();
+            let sym = Checker::new(&mut model)
+                .check(&spec)
+                .map_err(|e| format!("explicit: {e}"))?
+                .holds();
+            symbolic.push(t.elapsed().as_secs_f64());
+            let created = model.manager().stats().created_nodes;
+            let t = Instant::now();
+            let (graph, _) = model.enumerate(1 << 16).map_err(|e| format!("explicit: {e}"))?;
+            let mut checker = ExplicitChecker::new(&graph);
+            checker.auto_fairness();
+            let exp = checker.check(&spec).map_err(|e| format!("explicit: {e}"))?;
+            explicit.push(t.elapsed().as_secs_f64());
+            if sym != exp {
+                return Err(format!(
+                    "explicit: ring({n}) symbolic verdict {sym} vs explicit {exp} \
+                     (soundness bug, not a regression)"
+                ));
+            }
+            counts = (graph.num_states() as u64, created);
+        }
+        phases.push((format!("symbolic{n}"), symbolic));
+        phases.push((format!("explicit{n}"), explicit));
+        counters.push((format!("ring{n}_states"), counts.0));
+        counters.push((format!("ring{n}_created_nodes"), counts.1));
+    }
+    Ok(FamilyRecord {
+        name: "explicit".to_string(),
+        phases: phase_records(config, phases),
+        counters,
+        throughput_jobs_per_s: None,
+    })
 }
 
 /// One repetition of one family: a fresh model, the four timed phases,
@@ -465,6 +572,18 @@ fn median(xs: &[f64]) -> f64 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+    /// Wall-time assertions run alone on the CPU: every test that runs
+    /// families holds this lock shared, and the one that compares two
+    /// measured runs holds it exclusively, so a concurrent family (the
+    /// explicit-state enumeration takes seconds in a debug build) cannot
+    /// inflate its baseline run.
+    static CPU: RwLock<()> = RwLock::new(());
+
+    fn shared_cpu() -> RwLockReadGuard<'static, ()> {
+        CPU.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn unknown_family_is_rejected() {
@@ -476,6 +595,7 @@ mod tests {
 
     #[test]
     fn mutex_family_produces_the_four_phases_and_counters() {
+        let _cpu = shared_cpu();
         let config = BenchConfig {
             repetitions: 1,
             families: vec!["mutex".into()],
@@ -498,18 +618,23 @@ mod tests {
 
     #[test]
     fn counters_are_deterministic_across_repetitions() {
+        let _cpu = shared_cpu();
         let config = BenchConfig {
             repetitions: 1,
-            families: vec!["ring9".into()],
+            families: vec!["ring9".into(), "minimal".into(), "explicit".into()],
             ..BenchConfig::default()
         };
         let a = run(&config).unwrap();
         let b = run(&config).unwrap();
-        assert_eq!(a[0].counters, b[0].counters);
+        assert_eq!(a.len(), 3);
+        for (fa, fb) in a.iter().zip(&b) {
+            assert_eq!(fa.counters, fb.counters, "{}", fa.name);
+        }
     }
 
     #[test]
     fn injected_slowdown_scales_the_recorded_times() {
+        let _cpu = CPU.write().unwrap_or_else(PoisonError::into_inner);
         let base = BenchConfig {
             repetitions: 1,
             families: vec!["mutex".into()],
@@ -527,6 +652,7 @@ mod tests {
 
     #[test]
     fn batch_family_records_throughput_and_per_job_counters() {
+        let _cpu = shared_cpu();
         let config = BenchConfig {
             repetitions: 1,
             families: vec!["batch".into()],
@@ -551,6 +677,7 @@ mod tests {
 
     #[test]
     fn coi_family_does_measurably_less_work_than_the_full_model() {
+        let _cpu = shared_cpu();
         let config =
             BenchConfig { repetitions: 1, families: vec!["coi".into()], ..BenchConfig::default() };
         let families = run(&config).unwrap();
@@ -580,13 +707,28 @@ mod tests {
 
     #[test]
     fn family_selection_filters_and_keeps_menu_order() {
+        let _cpu = shared_cpu();
         let config = BenchConfig {
             repetitions: 1,
-            families: vec!["ring9".into(), "mutex".into()],
+            families: vec!["explicit".into(), "ring9".into(), "minimal".into(), "mutex".into()],
             ..BenchConfig::default()
         };
         let families = run(&config).unwrap();
         let names: Vec<&str> = families.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["mutex", "ring9"], "menu order, not request order");
+        assert_eq!(
+            names,
+            ["mutex", "ring9", "minimal", "explicit"],
+            "menu order, not request order"
+        );
+        let phases =
+            |f: &FamilyRecord| f.phases.iter().map(|p| p.phase.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            phases(&families[2]),
+            ["exact4", "greedy4", "exact8", "greedy8", "exact12", "greedy12"]
+        );
+        assert_eq!(
+            phases(&families[3]),
+            ["symbolic5", "explicit5", "symbolic9", "explicit9", "symbolic13", "explicit13"]
+        );
     }
 }

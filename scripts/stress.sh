@@ -21,6 +21,9 @@
 #      response (in-band exhaustion or quarantine rejection — never a
 #      dropped line), the server must drain cleanly on shutdown, and
 #      the process must exit 3 (worst executed job), not crash.
+#   5. One enabled-pipeline overhead gate: the batch bench family with
+#      the flight recorder and heap observatory on must stay within 3%
+#      of the disabled path's wall time.
 #
 # Usage: scripts/stress.sh
 set -eu
@@ -135,13 +138,22 @@ printf '%s\n' "$OUT" | grep -q '"op":"drained"' || {
 }
 echo "all 32 requests answered ($exhausted exhausted in-band), server drained (ok)"
 
-echo "== recorder overhead gate: flight recorder must cost <3% =="
-# A/B the batch bench family (best-of-3 serial wall) with and without
-# the per-job flight-recorder ring. "best" is the min over repetitions
-# — the most noise-resistant stat — and the whole comparison retries a
-# few times so one noisy machine moment cannot fail the drill.
+echo "== enabled-pipeline overhead gate: recorder + heap observatory must cost <3% =="
+# A/B the batch bench family's serial wall with and without the enabled
+# pipeline: --recorder gives every job the serve-default flight-recorder
+# ring, which enables telemetry (so the cadence-gated Event::HeapSample
+# briefs fire at GC, governor-trip and fixpoint checkpoints), and asks
+# every job for the final heap brief the batch report carries. The
+# disabled path costs one branch and is covered by the purity
+# proptests; this gates the *enabled* path's wall cost. The batch walls
+# are ~10ms, so single measurements are noise-dominated: each attempt
+# interleaves two best-of-7 runs per lane (base, enabled, base,
+# enabled) and compares the per-lane minima ("best" is the min over
+# repetitions — the noise-resistant estimator for additive wall noise)
+# without loosening the 3% budget; the whole comparison retries a few
+# times so one noisy machine moment cannot fail the drill.
 batch_best_wall() {
-  ./target/release/smc bench --reps "${BENCH_REPS:-3}" --no-gate --families batch $1 \
+  ./target/release/smc bench --reps 7 --no-gate --families batch $1 \
     | awk '/^batch/ { for (i = 1; i < NF; i++)
              if ($i == "jobs1" && $(i+1) == "best") {
                t = $(i+2); sub(/s,?$/, "", t); print t; exit
@@ -150,57 +162,25 @@ batch_best_wall() {
 attempts="${BENCH_MAX_RUNS:-3}"
 n=1
 while :; do
-  base="$(batch_best_wall "")"
-  rec="$(batch_best_wall "--recorder")"
-  if [ -z "$base" ] || [ -z "$rec" ]; then
-    echo "recorder gate: could not parse bench output" >&2
-    exit 1
-  fi
-  if awk -v a="$base" -v b="$rec" 'BEGIN { exit !(b <= a * 1.03) }'; then
-    echo "recorder overhead within budget: ${base}s plain vs ${rec}s recorded (ok)"
-    break
-  fi
-  if [ "$n" -ge "$attempts" ]; then
-    echo "recorder gate: ${rec}s recorded exceeds ${base}s plain by >3% after $attempts attempts" >&2
-    exit 1
-  fi
-  echo "recorder gate: attempt $n noisy (${base}s vs ${rec}s), retrying"
-  n=$((n + 1))
-done
-
-echo "== heap sampling gate: heap observatory must cost <3% =="
-# Same A/B as the recorder gate, but with the whole heap-observatory
-# lane on top: the ring enables telemetry (so the cadence-gated
-# Event::HeapSample briefs fire at GC, governor-trip and fixpoint
-# checkpoints) and --heap additionally requests the per-job heap brief
-# the batch report carries. The disabled path costs one branch and is
-# covered by the purity proptests; this gates the *enabled* path's wall
-# cost. The batch walls are ~10ms, so single measurements are noise-
-# dominated: each attempt interleaves two best-of-7 runs per lane
-# (base, sampled, base, sampled) and compares the per-lane minima —
-# the noise-resistant estimator for additive wall noise — without
-# loosening the 3% budget.
-n=1
-while :; do
-  base1="$(BENCH_REPS=7 batch_best_wall "")"
-  heap1="$(BENCH_REPS=7 batch_best_wall "--recorder --heap")"
-  base2="$(BENCH_REPS=7 batch_best_wall "")"
-  heap2="$(BENCH_REPS=7 batch_best_wall "--recorder --heap")"
-  if [ -z "$base1" ] || [ -z "$heap1" ] || [ -z "$base2" ] || [ -z "$heap2" ]; then
-    echo "heap gate: could not parse bench output" >&2
+  base1="$(batch_best_wall "")"
+  on1="$(batch_best_wall "--recorder")"
+  base2="$(batch_best_wall "")"
+  on2="$(batch_best_wall "--recorder")"
+  if [ -z "$base1" ] || [ -z "$on1" ] || [ -z "$base2" ] || [ -z "$on2" ]; then
+    echo "overhead gate: could not parse bench output" >&2
     exit 1
   fi
   base="$(awk -v a="$base1" -v b="$base2" 'BEGIN { print (a < b) ? a : b }')"
-  heap="$(awk -v a="$heap1" -v b="$heap2" 'BEGIN { print (a < b) ? a : b }')"
-  if awk -v a="$base" -v b="$heap" 'BEGIN { exit !(b <= a * 1.03) }'; then
-    echo "heap sampling overhead within budget: ${base}s plain vs ${heap}s sampled (ok)"
+  on="$(awk -v a="$on1" -v b="$on2" 'BEGIN { print (a < b) ? a : b }')"
+  if awk -v a="$base" -v b="$on" 'BEGIN { exit !(b <= a * 1.03) }'; then
+    echo "enabled-pipeline overhead within budget: ${base}s plain vs ${on}s enabled (ok)"
     break
   fi
   if [ "$n" -ge "$attempts" ]; then
-    echo "heap gate: ${heap}s sampled exceeds ${base}s plain by >3% after $attempts attempts" >&2
+    echo "overhead gate: ${on}s enabled exceeds ${base}s plain by >3% after $attempts attempts" >&2
     exit 1
   fi
-  echo "heap gate: attempt $n noisy (${base}s vs ${heap}s), retrying"
+  echo "overhead gate: attempt $n noisy (${base}s vs ${on}s), retrying"
   n=$((n + 1))
 done
 

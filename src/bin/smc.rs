@@ -106,7 +106,7 @@ USAGE:
                [COMMON] FILE.smv
     smc dot    FILE.smv (init|trans|reach)
     smc bench  [--baseline FILE] [--update] [--reps N] [--tolerance PCT]
-               [--no-gate] [--telemetry] [--recorder] [--heap] [--families LIST]
+               [--no-gate] [--telemetry] [--recorder] [--families LIST]
     smc profile report FILE.jsonl [--json] [--top N]
     smc profile export FILE.jsonl (--chrome|--speedscope) [--out FILE]
     smc debug dump (FILE.dump.jsonl | -)
@@ -213,11 +213,15 @@ COMMANDS:
              `spec` and `batch` as --heap
     dot      write the requested BDD as Graphviz DOT to stdout
     bench    run the benchmark observatory (families: mutex, arbiter2,
-             seitz, ring9; phases: compile, reach, check, witness) and
-             gate against the --baseline ledger: exit 1 on a regression
+             seitz, ring9, batch, coi, minimal, explicit; the four model
+             families time compile, reach, check and witness) and gate
+             against the --baseline ledger: exit 1 on a regression
              beyond --tolerance (default 10%), append the run to the
              ledger's history when clean; --update re-baselines in
-             place; --no-gate runs without touching any file
+             place; --no-gate runs without touching any file.
+             --telemetry and --recorder measure the enabled pipeline,
+             which is never gated or recorded: with --baseline they
+             need --no-gate
     profile  render (report) or convert (export) a recorded .jsonl
              trace; export targets the Chrome trace-event format
              (--chrome, for chrome://tracing / Perfetto) or the
@@ -1671,7 +1675,6 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             "--no-gate" => no_gate = true,
             "--telemetry" => config.telemetry = true,
             "--recorder" => config.recorder = true,
-            "--heap" => config.heap = true,
             "--reps" => {
                 let v = value(args, &mut i, "--reps")?;
                 config.repetitions =
@@ -1702,6 +1705,11 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
     if update && baseline_path.is_none() {
         return Err("--update needs --baseline FILE to know where to write".into());
+    }
+    if baseline_path.is_some() && !no_gate && (config.telemetry || config.recorder) {
+        return Err("--telemetry and --recorder runs are never gated against or recorded in \
+                    a baseline: add --no-gate"
+            .into());
     }
 
     let families = observatory::run(&config)?;

@@ -624,6 +624,18 @@ fn bench_gates_against_a_ledger_and_appends_history() {
     // 5. --no-gate leaves the file alone and always exits 0.
     let out = base().arg("--no-gate").arg("--inject-slowdown").arg("1000").output().expect("runs");
     assert_eq!(out.status.code(), Some(0));
+    // 6. An instrumented run is never gated against the disabled
+    // baseline nor recorded in it: without --no-gate it is a usage
+    // error that leaves the ledger alone, with or without --update.
+    for flag in ["--telemetry", "--recorder"] {
+        for extra in [&["--tolerance", "400"][..], &["--update"]] {
+            let out = base().arg(flag).args(extra).output().expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{flag} {extra:?}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("--no-gate"), "{flag}");
+            let after = std::fs::read_to_string(&ledger).expect("ledger exists");
+            assert_eq!(after, text, "{flag} {extra:?} must not touch the ledger");
+        }
+    }
     std::fs::remove_file(ledger).ok();
 }
 
