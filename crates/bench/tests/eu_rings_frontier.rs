@@ -5,13 +5,16 @@
 //!
 //! These tests re-implement the textbook recursions inline and compare
 //! against the optimized versions on the EXP-2/EXP-3 witness-shape
-//! models (single-SCC ring, SCC chain) and the fair-EG nesting.
+//! models (single-SCC ring, SCC chain) and the fair-EG nesting. The
+//! witness generator also stops ring sequences early and confines its
+//! single-state fixpoints to the reachable states; both must leave every
+//! ring a descent reads unchanged.
 
 use smc_bdd::Bdd;
 use smc_bench::{scc_chain, single_scc_ring, to_symbolic_with_fairness};
 use smc_checker::fair::fair_eg_with_rings;
-use smc_checker::fixpoint::{check_eg, check_eu, eu_rings};
-use smc_kripke::SymbolicModel;
+use smc_checker::fixpoint::{check_eg, check_eu, eu_rings, eu_rings_until};
+use smc_kripke::{ExplicitModel, State, SymbolicModel};
 
 /// Textbook `CheckEU` ring recording: preimage of the full accumulated
 /// set each round.
@@ -89,19 +92,63 @@ fn fair_eg_with_rings_reference(
     (z, rings)
 }
 
+/// `scc_chain(k)` entered at its last component: the `k - 1` components
+/// before it are unreachable, yet every one of them leads into the
+/// reachable `p`-component, so reach confinement has states to cut.
+fn chain_entered_last(k: usize) -> ExplicitModel {
+    let chain = scc_chain(k);
+    let mut g = ExplicitModel::new();
+    let p = g.add_ap("p");
+    for s in 0..chain.num_states() {
+        let labels = if chain.holds(s, 0) { vec![p] } else { vec![] };
+        g.add_state(&labels);
+    }
+    for s in 0..chain.num_states() {
+        for &t in chain.successors(s) {
+            g.add_edge(s, t);
+        }
+    }
+    g.add_initial(2 * (k - 1));
+    g
+}
+
 fn witness_shape_models() -> Vec<(&'static str, SymbolicModel)> {
     vec![
         ("ring(8)", to_symbolic_with_fairness(&single_scc_ring(8), 0).unwrap()),
         ("chain(3)", to_symbolic_with_fairness(&scc_chain(3), 0).unwrap()),
         ("chain(6)", to_symbolic_with_fairness(&scc_chain(6), 0).unwrap()),
+        ("chain(4) entered last", to_symbolic_with_fairness(&chain_entered_last(4), 0).unwrap()),
     ]
+}
+
+/// Ring `i` of a sequence that saturates at its last ring (the fixpoint).
+fn ring_at(rings: &[Bdd], i: usize) -> Bdd {
+    rings[i.min(rings.len() - 1)]
+}
+
+/// Stop sets as the witness generator builds them: each single state
+/// (`witness_eu` stops at its start) and each reachable state's successor
+/// set (a closing arc stops at `succ(current)`), plus the empty set.
+fn stop_sets(model: &mut SymbolicModel, reachable: &[State]) -> Vec<Bdd> {
+    let mut stops = vec![Bdd::FALSE];
+    for s in model.states_in(Bdd::TRUE, 64).unwrap() {
+        stops.push(model.state_bdd(&s));
+    }
+    for s in reachable {
+        stops.push(model.successors(s));
+    }
+    stops
 }
 
 #[test]
 fn eu_rings_bit_identical_to_full_preimage_iteration() {
+    let mut confinement_cut = false;
     for (name, mut model) in witness_shape_models() {
         let p = model.ap("p").unwrap();
         let np = model.manager_mut().not(p);
+        let reach = model.reachable().unwrap();
+        let reachable = model.states_in(reach, 64).unwrap();
+        let stops = stop_sets(&mut model, &reachable);
         for (f, g) in [(Bdd::TRUE, p), (np, p), (p, np)] {
             let expected = eu_rings_reference(&mut model, f, g);
             let actual = eu_rings(&mut model, f, g).unwrap();
@@ -114,8 +161,39 @@ fn eu_rings_bit_identical_to_full_preimage_iteration() {
                 check_eu(&mut model, f, g).unwrap(),
                 "{name}: last ring must be the EU fixpoint"
             );
+
+            // Stopped rings: the prefix ending at the first ring that
+            // meets the stop set, or the whole sequence when none does.
+            for &stop in &stops {
+                let stopped = eu_rings_until(&mut model, f, g, stop).unwrap();
+                let first_meet =
+                    expected.iter().position(|&r| model.manager_mut().intersects(r, stop));
+                let want = first_meet.map_or(expected.len(), |i| i + 1);
+                assert_eq!(stopped, expected[..want], "{name}: stopped rings are not the prefix");
+            }
+
+            // Reach-confined rings answer every probe a descent from a
+            // reachable state makes exactly as the unconfined ones do.
+            let f_reach = model.manager_mut().and(f, reach);
+            let confined = eu_rings(&mut model, f_reach, g).unwrap();
+            confinement_cut |= confined.last() != expected.last();
+            for i in 0..expected.len().max(confined.len()) {
+                let (full, conf) = (ring_at(&expected, i), ring_at(&confined, i));
+                for s in &reachable {
+                    let succ = model.successors(s);
+                    let want = model.manager_mut().and(succ, full);
+                    let got = model.manager_mut().and(succ, conf);
+                    assert_eq!(got, want, "{name}: confined ring {i} moved a successor probe");
+                    assert_eq!(
+                        model.eval_state(conf, s),
+                        model.eval_state(full, s),
+                        "{name}: confined ring {i} moved a membership probe"
+                    );
+                }
+            }
         }
     }
+    assert!(confinement_cut, "no input has unreachable states for confinement to cut");
 }
 
 #[test]

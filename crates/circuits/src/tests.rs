@@ -59,7 +59,7 @@ fn inverter_ring_oscillates_under_fairness() {
     // gate infinitely often.
     let w = c.witness(&ctl::parse("EG true").unwrap()).unwrap();
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut model));
+    assert!(w.is_path_of(&model));
     for g in 0..3 {
         let stable = model.ap(&format!("inv{g}.stable")).unwrap();
         assert!(w.cycle_visits(&model, stable), "gate {g} must stabilize i.o.");
@@ -188,7 +188,7 @@ fn arbiter_liveness_fails_with_lasso_counterexample() {
     assert!(!c.check(&spec).unwrap().holds(), "user 2 can starve");
     let cx = c.counterexample(&spec).unwrap();
     assert!(cx.is_lasso(), "liveness counterexamples are lassos");
-    assert!(cx.is_path_of(&mut model), "the trace must replay");
+    assert!(cx.is_path_of(&model), "the trace must replay");
     // The cycle keeps ua2 low forever...
     for s in cx.cycle() {
         assert!(!model.eval_state(ua2, s), "cycle must starve user 2");
@@ -210,7 +210,7 @@ fn arbiter_trial_liveness_fails_like_the_paper() {
     assert!(!c.check(&spec).unwrap().holds());
     let cx = c.counterexample(&spec).unwrap();
     assert!(cx.is_lasso());
-    assert!(cx.is_path_of(&mut model));
+    assert!(cx.is_path_of(&model));
     let ta1 = model.ap("ta1").unwrap();
     for s in cx.cycle() {
         assert!(!model.eval_state(ta1, s));

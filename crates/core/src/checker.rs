@@ -9,13 +9,14 @@ use smc_logic::ctlstar::StateFormula;
 use smc_logic::Ctl;
 
 use crate::error::CheckError;
-use crate::fair::{fair_eg, fair_states};
+use crate::fair::{fair_eg_with_rings, FairRings};
 use crate::fairness_class::{check_efairness, witness_efairness, FairnessConjunct, ResolvedSide};
 use crate::fixpoint::{check_eu, check_ex};
 use crate::govern::{self, Progress};
 use crate::obs;
 use crate::witness::{
-    splice, witness_eg_fair, witness_eu, witness_ex, CycleStrategy, Trace, WitnessStats,
+    splice, witness_eg_fair, witness_eg_fair_with_rings, witness_eu, witness_ex, CycleStrategy,
+    Trace, WitnessStats,
 };
 use crate::Phase;
 use smc_obs::SpanKind;
@@ -54,7 +55,10 @@ pub struct CheckOutcome {
 /// generator of Clarke–Grumberg–McMillan–Zhao.
 ///
 /// Borrows the model mutably (all BDD work happens in the model's
-/// manager). Sub-formula results are memoized per checker instance.
+/// manager). Sub-formula results are memoized per checker instance; a
+/// fair-`EG` entry (and the `fair` set) keeps the rings of its last outer
+/// iteration as well, so a witness walks the rings the check built
+/// (Section 6) instead of recomputing the nested fixpoint.
 ///
 /// # Examples
 ///
@@ -79,8 +83,11 @@ pub struct CheckOutcome {
 pub struct Checker<'m> {
     model: &'m mut SymbolicModel,
     strategy: CycleStrategy,
-    fair: Option<Bdd>,
-    cache: HashMap<Ctl, Bdd>,
+    /// `fair` and its rings (empty without fairness constraints).
+    fair: Option<(Bdd, FairRings)>,
+    /// State set per sub-formula, with the saved rings of a fair `EG`
+    /// checked under fairness constraints (empty for every other entry).
+    cache: HashMap<Ctl, (Bdd, FairRings)>,
     last_stats: Option<WitnessStats>,
     pin_depth: u32,
 }
@@ -112,25 +119,28 @@ impl<'m> Checker<'m> {
         body: impl FnOnce(&mut Self) -> Result<T, CheckError>,
     ) -> Result<T, CheckError> {
         if self.pin_depth == 0 {
-            for &b in self.cache.values() {
-                self.model.manager_mut().protect(b);
-            }
-            if let Some(f) = self.fair {
-                self.model.manager_mut().protect(f);
-            }
+            let memo = self.memo_roots();
+            govern::protect_all(self.model, &memo);
         }
         self.pin_depth += 1;
         let result = body(self);
         self.pin_depth -= 1;
         if self.pin_depth == 0 {
-            for &b in self.cache.values() {
-                self.model.manager_mut().unprotect(b);
-            }
-            if let Some(f) = self.fair {
-                self.model.manager_mut().unprotect(f);
-            }
+            let memo = self.memo_roots();
+            govern::unprotect_all(self.model, &memo);
         }
         result
+    }
+
+    /// Every BDD the memo holds: the cached state sets, the fair set and
+    /// the saved fair-`EG` rings.
+    fn memo_roots(&self) -> Vec<Bdd> {
+        let mut roots = Vec::new();
+        for (states, rings) in self.cache.values().chain(&self.fair) {
+            roots.push(*states);
+            roots.extend(rings.iter().flatten());
+        }
+        roots
     }
 
     /// Selects the cycle-closing strategy for fair-`EG` witnesses.
@@ -158,14 +168,10 @@ impl<'m> Checker<'m> {
     /// number of reclaimed nodes.
     pub fn gc(&mut self) -> usize {
         self.cache.clear();
-        let keep: Vec<_> = self.fair.into_iter().collect();
-        for &b in &keep {
-            self.model.manager_mut().protect(b);
-        }
+        let keep = self.memo_roots();
+        govern::protect_all(self.model, &keep);
         let reclaimed = self.model.manager_mut().gc(&[]);
-        for &b in &keep {
-            self.model.manager_mut().unprotect(b);
-        }
+        govern::unprotect_all(self.model, &keep);
         reclaimed
     }
 
@@ -347,24 +353,31 @@ impl<'m> Checker<'m> {
     /// during the fixpoint.
     pub fn fair(&mut self) -> Result<Bdd, CheckError> {
         self.pinned(|c| {
-            if let Some(f) = c.fair {
+            if let Some((f, _)) = c.fair {
                 return Ok(f);
             }
-            let f = if c.model.fairness().is_empty() { Bdd::TRUE } else { fair_states(c.model)? };
+            let constraints = c.model.fairness().to_vec();
+            let (f, rings) = if constraints.is_empty() {
+                (Bdd::TRUE, Vec::new())
+            } else {
+                fair_eg_with_rings(c.model, Bdd::TRUE, &constraints)?
+            };
             // Commit and pin before memoizing (see `check_enf`); the pin
             // is released when the outermost public call exits.
             govern::poll(c.model, Phase::Check, Progress::default())?;
             c.model.manager_mut().protect(f);
-            c.fair = Some(f);
+            govern::protect_all(c.model, &rings.concat());
+            c.fair = Some((f, rings));
             Ok(f)
         })
     }
 
     /// `Check` over existential-normal-form formulas, with memoization.
     fn check_enf(&mut self, formula: &Ctl) -> Result<Bdd, CheckError> {
-        if let Some(&hit) = self.cache.get(formula) {
+        if let Some(&(hit, _)) = self.cache.get(formula) {
             return Ok(hit);
         }
+        let mut rings = FairRings::new();
         let result = match formula {
             Ctl::True => Bdd::TRUE,
             Ctl::False => Bdd::FALSE,
@@ -401,7 +414,9 @@ impl<'m> Checker<'m> {
             Ctl::Eg(f) => {
                 let sf = self.check_enf(f)?;
                 let constraints = self.model.fairness().to_vec();
-                fair_eg(self.model, sf, &constraints)?
+                let (egf, saved) = fair_eg_with_rings(self.model, sf, &constraints)?;
+                rings = saved;
+                egf
             }
             // Non-basis operators: normalize and recurse (defensive; the
             // public entry points normalize up front).
@@ -418,7 +433,8 @@ impl<'m> Checker<'m> {
         // (see `pinned`).
         govern::poll(self.model, Phase::Check, Progress::default())?;
         self.model.manager_mut().protect(result);
-        self.cache.insert(formula.clone(), result);
+        govern::protect_all(self.model, &rings.concat());
+        self.cache.insert(formula.clone(), (result, rings));
         Ok(result)
     }
 
@@ -487,9 +503,21 @@ impl<'m> Checker<'m> {
             }
             Ctl::Eg(f) => {
                 let sf = self.check_enf(f)?;
+                let egf = self.check_enf(formula)?;
                 let constraints = self.model.fairness().to_vec();
-                let (lasso, stats) =
-                    witness_eg_fair(self.model, sf, &constraints, state, self.strategy)?;
+                // Without fairness the check ran plain EG and saved no
+                // rings; the witness computes its own for `true`.
+                let (lasso, stats) = match self.cache.get(formula) {
+                    Some((_, rings)) if !rings.is_empty() => witness_eg_fair_with_rings(
+                        self.model,
+                        sf,
+                        egf,
+                        rings,
+                        state,
+                        self.strategy,
+                    )?,
+                    _ => witness_eg_fair(self.model, sf, &constraints, state, self.strategy)?,
+                };
                 self.last_stats = Some(stats);
                 Ok(lasso)
             }
@@ -515,9 +543,10 @@ impl<'m> Checker<'m> {
                 CheckError::WitnessConstruction("cannot fair-extend an empty trace".into())
             })?
             .clone();
-        let constraints = self.model.fairness().to_vec();
+        self.fair()?;
+        let (fair, rings) = self.fair.as_ref().expect("fair() memoizes the fair set");
         let (lasso, stats) =
-            witness_eg_fair(self.model, Bdd::TRUE, &constraints, &last, self.strategy)?;
+            witness_eg_fair_with_rings(self.model, Bdd::TRUE, *fair, rings, &last, self.strategy)?;
         self.last_stats = Some(stats);
         Ok(splice(trace.states, lasso))
     }

@@ -43,7 +43,8 @@ pub type FairRings = Vec<Vec<Bdd>>;
 /// The extra pass costs one more round of inner `EU` computations after
 /// the fixpoint converges — exactly the bookkeeping Section 6 prescribes
 /// ("in the last iteration of the outer fixpoint, we save the sequence of
-/// approximations").
+/// approximations"). The [`Checker`](crate::Checker) memoizes the rings
+/// with the fixpoint, so a witness reuses them instead of paying again.
 pub fn fair_eg_with_rings(
     model: &mut SymbolicModel,
     f: Bdd,
@@ -171,17 +172,6 @@ fn fair_eg_step(
     result
 }
 
-/// The `fair` state set of Section 5: `CheckFair(EG true)` — states at
-/// the start of some fair computation path.
-///
-/// # Errors
-///
-/// [`CheckError::ResourceExhausted`] if the manager's budget trips.
-pub fn fair_states(model: &mut SymbolicModel) -> Result<Bdd, CheckError> {
-    let constraints = model.fairness().to_vec();
-    fair_eg(model, Bdd::TRUE, &constraints)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -230,7 +220,9 @@ mod tests {
         b.next_fn(x, |m, cur| m.not(cur[0]));
         b.fairness_fn(|m, _| m.constant(false));
         let mut m = b.build().unwrap();
-        assert!(fair_states(&mut m).unwrap().is_false());
+        // The `fair` set of Section 5 is fair `EG true`.
+        let constraints = m.fairness().to_vec();
+        assert!(fair_eg(&mut m, Bdd::TRUE, &constraints).unwrap().is_false());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The basic CTL fixpoint operators of Section 4: `CheckEX`, `CheckEU`,
 //! `CheckEG`, plus the ring-recording variant of `CheckEU` that the
-//! witness generator replays backwards.
+//! witness generator replays backwards (optionally stopped at the first
+//! ring a descent can use).
 //!
 //! Every fixpoint loop is a governed, fallible computation: each
 //! iteration ends at a [`BddManager::checkpoint`](smc_bdd::BddManager)
@@ -80,20 +81,49 @@ fn check_eu_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Bdd, Chec
 /// Section 6 of the paper saves exactly these sequences (from the last
 /// outer fair-`EG` iteration) so witness construction can walk a shortest
 /// ring-decreasing path to each fairness constraint. The last element is
-/// the `E[f U g]` fixpoint.
+/// the `E[f U g]` fixpoint. This is [`eu_rings_until`] with an empty stop
+/// set.
 ///
 /// # Errors
 ///
 /// [`CheckError::ResourceExhausted`] if the manager's budget trips; the
 /// partial report carries the number of rings recorded so far.
 pub fn eu_rings(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
+    eu_rings_until(model, f, g, Bdd::FALSE)
+}
+
+/// The rings of [`eu_rings`] up to and including the first one that
+/// meets `stop`, or all of them when none does.
+///
+/// A witness descent that starts in `stop` (the start state of an `EU`
+/// witness, or the successors of the state a cycle closes from) reads
+/// no ring past the first one it touches, so the rings beyond it are
+/// work no trace uses. The returned sequence is always a prefix of the
+/// full one, ring for ring; when its last ring misses `stop`, that ring
+/// is the `E[f U g]` fixpoint.
+///
+/// # Errors
+///
+/// [`CheckError::ResourceExhausted`] if the manager's budget trips; the
+/// partial report carries the number of rings recorded so far.
+pub fn eu_rings_until(
+    model: &mut SymbolicModel,
+    f: Bdd,
+    g: Bdd,
+    stop: Bdd,
+) -> Result<Vec<Bdd>, CheckError> {
     let span = obs::span_start(model, SpanKind::CheckEu, Some("rings"));
-    let result = eu_rings_inner(model, f, g);
+    let result = eu_rings_inner(model, f, g, stop);
     obs::span_end(model, span);
     result
 }
 
-fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>, CheckError> {
+fn eu_rings_inner(
+    model: &mut SymbolicModel,
+    f: Bdd,
+    g: Bdd,
+    stop: Bdd,
+) -> Result<Vec<Bdd>, CheckError> {
     // Frontier iteration; the recorded rings are bit-identical to the
     // full-preimage version (see `check_eu` for why), which the witness
     // generator's ring-descent depends on.
@@ -102,7 +132,10 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
     let mut z = g;
     let mut frontier = g;
     let mut iters = 0u64;
-    while !frontier.is_false() {
+    // Rings only grow, so the newest ring meets `stop` exactly when its
+    // frontier does (or, for ring 0, `g` itself).
+    let mut met = model.manager_mut().intersects(g, stop);
+    while !met && !frontier.is_false() {
         let ex = check_ex(model, frontier);
         let step = model.manager_mut().and(f, ex);
         let add = model.manager_mut().diff(step, z);
@@ -113,7 +146,7 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         // Every recorded ring must survive a ladder GC, so the whole
         // prefix rides along as checkpoint roots.
         let mut roots = rings.clone();
-        roots.extend([f, g, next, add]);
+        roots.extend([f, g, stop, next, add]);
         govern::checkpoint(model, Phase::EuFixpoint, progress, &roots)?;
         if done {
             break;
@@ -121,6 +154,7 @@ fn eu_rings_inner(model: &mut SymbolicModel, f: Bdd, g: Bdd) -> Result<Vec<Bdd>,
         z = next;
         rings.push(z);
         frontier = add;
+        met = model.manager_mut().intersects(add, stop);
         watch.iter(model, iters, frontier, z);
     }
     // Zero-iteration case: no checkpoint ran, deliver any pending trip.

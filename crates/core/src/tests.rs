@@ -121,7 +121,7 @@ fn ex_witness_is_a_real_step() {
     assert_eq!(w.states.len(), 2);
     assert!(!w.states[0].bit(0));
     assert!(w.states[1].bit(0));
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn eu_witness_walks_shortest_rings() {
     let spec = ctl::parse("E [true U (b0 & b1 & b2)]").unwrap();
     let w = c.witness(&spec).unwrap();
     assert_eq!(w.states.len(), 8, "shortest path 0..=7");
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     assert_eq!(index_of(w.states.last().unwrap()), 7);
 }
 
@@ -153,7 +153,7 @@ fn eg_witness_is_a_valid_lasso() {
     // EG x holds at the x=1 state; witness from init needs EF EG x.
     let w = c.witness(&ctl::parse("E [true U EG x]").unwrap()).unwrap();
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     // Every cycle state satisfies x.
     for s in w.cycle() {
         assert!(m.eval_state(x_set, s));
@@ -175,7 +175,7 @@ fn fair_eg_witness_visits_every_constraint_on_the_cycle() {
     let mut c = Checker::new(&mut m);
     let w = c.witness(&ctl::parse("EG true").unwrap()).unwrap();
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     assert!(w.cycle_visits(&m, fair_a), "cycle must visit a");
     assert!(w.cycle_visits(&m, fair_b), "cycle must visit b");
 }
@@ -199,7 +199,7 @@ fn ag_counterexample_reaches_a_violation() {
     let mut c = Checker::new(&mut m);
     // AG !x fails; the counterexample must end in an x-state.
     let cx = c.counterexample(&ctl::parse("AG !x").unwrap()).unwrap();
-    assert!(cx.is_path_of(&mut m));
+    assert!(cx.is_path_of(&m));
     assert!(m.eval_state(x_set, cx.states.last().unwrap()));
 }
 
@@ -212,7 +212,7 @@ fn af_counterexample_is_a_lasso_avoiding_the_target() {
     // witness for EG !x — a lasso never touching x.
     let cx = c.counterexample(&ctl::parse("AF x").unwrap()).unwrap();
     assert!(cx.is_lasso());
-    assert!(cx.is_path_of(&mut m));
+    assert!(cx.is_path_of(&m));
     for s in &cx.states {
         assert!(!m.eval_state(x_set, s), "counterexample must avoid x");
     }
@@ -231,7 +231,7 @@ fn liveness_counterexample_shape_matches_the_paper() {
     assert!(!c.check(&spec).unwrap().holds());
     let cx = c.counterexample(&spec).unwrap();
     assert!(cx.is_lasso());
-    assert!(cx.is_path_of(&mut m));
+    assert!(cx.is_path_of(&m));
     for s in cx.cycle() {
         assert!(!m.eval_state(bottom, s), "cycle must avoid the ack");
     }
@@ -248,7 +248,7 @@ fn au_counterexample_picks_a_violating_branch() {
     let spec = ctl::parse("A [!x U x]").unwrap();
     assert!(!c.check(&spec).unwrap().holds());
     let cx = c.counterexample(&spec).unwrap();
-    assert!(cx.is_path_of(&mut m));
+    assert!(cx.is_path_of(&m));
     assert!(cx.is_lasso(), "the violation is 'x never happens'");
     for s in &cx.states {
         assert!(!m.eval_state(x_set, s));
@@ -276,7 +276,7 @@ fn au_counterexample_via_bad_prefix() {
     let spec = ctl::parse("A [p U q]").unwrap();
     assert!(!c.check(&spec).unwrap().holds());
     let cx = c.counterexample(&spec).unwrap();
-    assert!(cx.is_path_of(&mut m));
+    assert!(cx.is_path_of(&m));
     // The trace must reach the ¬p∧¬q state without passing q first.
     let bad = cx.states.iter().position(|s| !m.eval_state(p_set, s) && !m.eval_state(q_set, s));
     let first_q = cx.states.iter().position(|s| m.eval_state(q_set, s));
@@ -335,7 +335,7 @@ fn figure1_single_scc_no_restarts() {
     let stats = c.last_witness_stats().unwrap();
     assert_eq!(stats.restarts, 0, "single SCC closes on first attempt");
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     assert!(w.cycle_visits(&m, p_set));
 }
 
@@ -352,7 +352,7 @@ fn figure2_descends_the_scc_dag_with_restarts() {
     let stats = c.last_witness_stats().unwrap();
     assert!(stats.restarts >= 1, "descent must restart at least once");
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     assert!(w.cycle_visits(&m, bottom));
     // The witness spans all three SCCs of the chain.
     let (explicit, states) = m.enumerate(64).unwrap();
@@ -374,7 +374,7 @@ fn both_cycle_strategies_agree_on_validity() {
         let mut c = Checker::new(&mut m).with_strategy(strategy);
         let w = c.witness(&ctl::parse("EG true").unwrap()).unwrap();
         assert!(w.is_lasso(), "{strategy:?}");
-        assert!(w.is_path_of(&mut m), "{strategy:?}");
+        assert!(w.is_path_of(&m), "{strategy:?}");
         assert!(w.cycle_visits(&m, bottom), "{strategy:?}");
     }
 }
@@ -406,7 +406,7 @@ fn ctlstar_witness_satisfies_the_chosen_sides() {
     let (w, sides) = c.witness_ctlstar(&f).unwrap();
     assert_eq!(sides.len(), 1);
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     match sides[0] {
         crate::ResolvedSide::Gf => assert!(w.cycle_visits(&m, x_set)),
         crate::ResolvedSide::Fg => {
@@ -434,7 +434,7 @@ fn ctlstar_mixed_obligations() {
     assert!(holds);
     let (w, _) = c.witness_ctlstar(&f).unwrap();
     assert!(w.is_lasso());
-    assert!(w.is_path_of(&mut m));
+    assert!(w.is_path_of(&m));
     assert!(w.cycle_visits(&m, a_set), "GF a on the cycle");
     for s in w.cycle() {
         assert!(m.eval_state(b_set, s), "FG b on the cycle");
@@ -541,4 +541,49 @@ fn trace_render_diff_shows_only_changes() {
     let lasso = c.witness(&ctl::parse("EG !y").unwrap()).unwrap();
     let rendered = lasso.render_diff(c.model());
     assert!(rendered.contains("-- loop"), "{rendered}");
+}
+
+#[test]
+fn validate_rejects_a_corrupted_state_or_a_dropped_hop() {
+    // A deterministic 3-bit counter with one initial state: its only
+    // computation is the 8-state cycle, so changing any bit of any state,
+    // or dropping any state, breaks the start, a step or the loop edge.
+    let mut m = smc_smv::compile(
+        "MODULE main\nVAR c : 0..7;\nASSIGN\n  init(c) := 0;\n  \
+         next(c) := case c = 7 : 0; TRUE : c + 1; esac;\n",
+    )
+    .unwrap()
+    .model;
+    let lasso = Checker::new(&mut m).witness(&ctl::parse("EG TRUE").unwrap()).unwrap();
+    assert_eq!(lasso.cycle_len(), 8);
+    lasso.validate(&m).unwrap();
+    let rejected = |m: &SymbolicModel, t: &Trace| {
+        matches!(t.validate(m), Err(CheckError::WitnessConstruction(_)))
+    };
+    for i in 0..lasso.len() {
+        for bit in 0..lasso.states[i].len() {
+            let mut corrupted = lasso.clone();
+            corrupted.states[i].0[bit] ^= true;
+            assert!(rejected(&m, &corrupted), "bit {bit} of state {i} flipped");
+        }
+        let mut dropped = lasso.clone();
+        dropped.states.remove(i);
+        dropped.loopback =
+            lasso.loopback.map(|l| if i < l { l - 1 } else { l.min(dropped.len() - 1) });
+        assert!(rejected(&m, &dropped), "state {i} dropped");
+    }
+}
+
+#[test]
+fn validate_rejects_a_cycle_that_skips_a_fairness_constraint() {
+    // x is free and fairness asks for x = 1 infinitely often: staying at
+    // x = 0 is a path from the initial state, but not a fair one.
+    let m = free_bit(true);
+    let lo = State(vec![false]);
+    let hi = State(vec![true]);
+    Trace::lasso(vec![lo.clone(), hi.clone()], 0).validate(&m).unwrap();
+    let unfair = Trace::lasso(vec![lo.clone()], 0).validate(&m);
+    assert!(matches!(unfair, Err(CheckError::WitnessConstruction(_))), "{unfair:?}");
+    let late_start = Trace::finite(vec![hi, lo]).validate(&m);
+    assert!(matches!(late_start, Err(CheckError::WitnessConstruction(_))), "{late_start:?}");
 }

@@ -26,7 +26,7 @@ use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
 use crate::fair::fair_eg_with_rings;
-use crate::fixpoint::eu_rings;
+use crate::fixpoint::eu_rings_until;
 use crate::govern::{self, Progress};
 use crate::obs;
 use crate::witness::strategy::CycleStrategy;
@@ -55,7 +55,9 @@ const MAX_RESTARTS: usize = 1_000_000;
 ///
 /// `f` is the (already evaluated) state set of the invariant body and
 /// `constraints` the fairness constraints; with an empty slice the
-/// witness is a plain `EG` lasso.
+/// witness is a plain `EG` lasso. Computes the fair-`EG` fixpoint and its
+/// rings first; a caller that kept them from its check passes them to
+/// [`witness_eg_fair_with_rings`] instead.
 ///
 /// # Errors
 ///
@@ -75,27 +77,76 @@ pub fn witness_eg_fair(
     let constraints: Vec<Bdd> =
         if constraints.is_empty() { vec![Bdd::TRUE] } else { constraints.to_vec() };
     let (egf, rings) = fair_eg_with_rings(model, f, &constraints)?;
+    witness_eg_fair_with_rings(model, f, egf, &rings, start, strategy)
+}
+
+/// [`witness_eg_fair`] from a fair-`EG` result the caller already holds:
+/// `egf` and `rings` must be what
+/// [`fair_eg_with_rings`]`(model, f, constraints)` returned for a
+/// non-empty constraint list — the paper's `Q_i^h` rings, saved during
+/// the check rather than recomputed for the witness. Ring 0 of each
+/// sequence is the constraint's target, so the constraints themselves
+/// are not needed again.
+///
+/// # Errors
+///
+/// As [`witness_eg_fair`]; no ring sequences, or an empty one, is a
+/// [`CheckError::WitnessConstruction`].
+pub fn witness_eg_fair_with_rings(
+    model: &mut SymbolicModel,
+    f: Bdd,
+    egf: Bdd,
+    rings: &[Vec<Bdd>],
+    start: &State,
+    strategy: CycleStrategy,
+) -> Result<(Trace, WitnessStats), CheckError> {
+    if rings.is_empty() || rings.iter().any(Vec::is_empty) {
+        return Err(CheckError::WitnessConstruction(
+            "fair EG witness needs a non-empty ring sequence per constraint".into(),
+        ));
+    }
     if !model.eval_state(egf, start) {
         return Err(CheckError::NothingToExplain);
     }
+    // Every state the construction visits is a successor of a successor
+    // of … `start`, so when `start` is reachable the closing arcs and the
+    // stay set only ever probe reachable states. Confining their path
+    // operand to the reachable set leaves every probe's answer (and, BDDs
+    // being canonical, every `succ ∧ ring` BDD) unchanged while the
+    // single-state fixpoints stop wandering through unreachable states.
+    let reach = model.cached_reachable().filter(|&r| model.eval_state(r, start));
+    let (f_path, egf_path) = match reach {
+        Some(r) => (model.manager_mut().and(f, r), model.manager_mut().and(egf, r)),
+        None => (f, egf),
+    };
+    govern::poll(model, Phase::WitnessEg, Progress::default())?;
 
-    // The saved rings (and egf, and f) are probed across the whole
+    // The saved rings and the path operands are probed across the whole
     // restart loop, which runs governed EU fixpoints (stay sets, closing
     // arcs) whose checkpoints may trigger the degradation ladder's GC.
     // Shield all of them for the duration.
-    let mut shield = vec![f, egf];
+    let mut shield = vec![f_path, egf_path];
     shield.extend(rings.iter().flatten().copied());
     govern::protect_all(model, &shield);
-    let result = witness_eg_fair_inner(model, f, egf, &constraints, &rings, start, strategy);
+    let paths = Paths { f: f_path, egf: egf_path };
+    let result = witness_eg_fair_inner(model, paths, rings, start, strategy);
     govern::unprotect_all(model, &shield);
     result
 }
 
-fn witness_eg_fair_inner(
-    model: &mut SymbolicModel,
+/// The path operands of the single-state fixpoints a cycle attempt runs:
+/// `f` for the closing arc `E[f U {anchor}]` and fair `EG f` for the stay
+/// set `E[(EG f) U {t}]`, each confined to the reachable states when the
+/// walk provably stays among them.
+#[derive(Clone, Copy)]
+struct Paths {
     f: Bdd,
     egf: Bdd,
-    constraints: &[Bdd],
+}
+
+fn witness_eg_fair_inner(
+    model: &mut SymbolicModel,
+    paths: Paths,
     rings: &[Vec<Bdd>],
     start: &State,
     strategy: CycleStrategy,
@@ -106,7 +157,7 @@ fn witness_eg_fair_inner(
 
     loop {
         let stay_exits_before = stats.stay_exits;
-        match attempt_cycle(model, f, egf, constraints, rings, &s, strategy, &mut stats)? {
+        match attempt_cycle(model, paths, rings, &s, strategy, &mut stats)? {
             AttemptOutcome::Closed { states, anchor_index } => {
                 let loopback = prefix.len() + anchor_index;
                 prefix.extend(states);
@@ -131,7 +182,7 @@ fn witness_eg_fair_inner(
                          fair_eg rings are inconsistent ({} constraints, ring depths {:?})",
                         stats.restarts,
                         stats.stay_exits,
-                        constraints.len(),
+                        rings.len(),
                         depths,
                     )));
                 }
@@ -155,12 +206,9 @@ enum AttemptOutcome {
 }
 
 /// One cycle attempt from `s`: visit every constraint, then try to close.
-#[allow(clippy::too_many_arguments)]
 fn attempt_cycle(
     model: &mut SymbolicModel,
-    f: Bdd,
-    egf: Bdd,
-    constraints: &[Bdd],
+    paths: Paths,
     rings: &[Vec<Bdd>],
     s: &State,
     strategy: CycleStrategy,
@@ -170,18 +218,14 @@ fn attempt_cycle(
     // governed EU fixpoint — it rides in a shield for the rest of the
     // attempt, released here on every exit path.
     let mut shield: Vec<Bdd> = Vec::new();
-    let result =
-        attempt_cycle_inner(model, f, egf, constraints, rings, s, strategy, stats, &mut shield);
+    let result = attempt_cycle_inner(model, paths, rings, s, strategy, stats, &mut shield);
     govern::unprotect_all(model, &shield);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn attempt_cycle_inner(
     model: &mut SymbolicModel,
-    f: Bdd,
-    egf: Bdd,
-    constraints: &[Bdd],
+    paths: Paths,
     rings: &[Vec<Bdd>],
     s: &State,
     strategy: CycleStrategy,
@@ -198,7 +242,7 @@ fn attempt_cycle_inner(
     let mut current = s.clone();
     let mut anchor: Option<(usize, State)> = None;
     let mut stay: Option<Bdd> = None;
-    let mut pending: Vec<usize> = (0..constraints.len()).collect();
+    let mut pending: Vec<usize> = (0..rings.len()).collect();
 
     loop {
         // Once the walk is on the cycle (anchor chosen), constraints the
@@ -218,7 +262,7 @@ fn attempt_cycle_inner(
                 // E[(EG f) U {t}]: the states from which the cycle can
                 // still be closed.
                 let t_bdd = model.state_bdd(&t);
-                let set = crate::fixpoint::check_eu(model, egf, t_bdd)?;
+                let set = crate::fixpoint::check_eu(model, paths.egf, t_bdd)?;
                 model.manager_mut().protect(set);
                 shield.push(set);
                 stay = Some(set);
@@ -263,10 +307,13 @@ fn attempt_cycle_inner(
     let (anchor_index, anchor_state) = anchor
         .ok_or_else(|| CheckError::WitnessConstruction("cycle attempt chose no anchor".into()))?;
 
-    // Close the cycle: a nontrivial f-path current -> anchor.
+    // Close the cycle: a nontrivial f-path current -> anchor. Its rings
+    // stop at the first one a successor of `current` lies in: the arc
+    // starts there and descends only through smaller rings. A closing
+    // that fails still runs to the fixpoint, which proves it impossible.
     let anchor_bdd = model.state_bdd(&anchor_state);
-    let close_rings = eu_rings(model, f, anchor_bdd)?;
     let succ = model.successors(&current);
+    let close_rings = eu_rings_until(model, paths.f, anchor_bdd, succ)?;
     govern::poll(model, Phase::WitnessEg, progress(&attempt))?;
     let reach_anchor = *close_rings
         .last()

@@ -5,7 +5,7 @@ pub mod reach;
 pub mod strategy;
 pub mod trace;
 
-pub use eg::{witness_eg_fair, WitnessStats};
+pub use eg::{witness_eg_fair, witness_eg_fair_with_rings, WitnessStats};
 pub use reach::{witness_eu, witness_ex};
 pub use strategy::CycleStrategy;
 pub use trace::Trace;

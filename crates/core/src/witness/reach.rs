@@ -10,7 +10,7 @@ use smc_bdd::Bdd;
 use smc_kripke::{State, SymbolicModel};
 
 use crate::error::CheckError;
-use crate::fixpoint::eu_rings;
+use crate::fixpoint::eu_rings_until;
 use crate::govern::{self, Progress};
 use crate::Phase;
 
@@ -18,6 +18,9 @@ use crate::Phase;
 /// `f`-states to a `g`-state, walking the `EU` approximation rings
 /// backwards. Returns the path including both endpoints (a single state
 /// if `start` already satisfies `g`).
+///
+/// The rings stop at the first one holding `start`: the descent reads
+/// only rings below it, so later rings would be built for nothing.
 ///
 /// # Errors
 ///
@@ -28,7 +31,8 @@ pub fn witness_eu(
     g: Bdd,
     start: &State,
 ) -> Result<Vec<State>, CheckError> {
-    let rings = eu_rings(model, f, g)?;
+    let stop = model.state_bdd(start);
+    let rings = eu_rings_until(model, f, g, stop)?;
     let mut j = match (0..rings.len()).find(|&i| model.eval_state(rings[i], start)) {
         Some(j) => j,
         None => return Err(CheckError::NothingToExplain),

@@ -5,6 +5,8 @@ use std::fmt;
 use smc_bdd::Bdd;
 use smc_kripke::{State, SymbolicModel};
 
+use crate::error::CheckError;
+
 /// An execution trace demonstrating a verdict: a finite path, optionally
 /// closed into a *lasso* (finite prefix followed by a repeating cycle) —
 /// the paper's "finite witness" representation of an infinite fair path.
@@ -112,7 +114,9 @@ impl Trace {
 
     /// Checks that every consecutive pair (and the loopback edge, for
     /// lassos) is a transition of `model`, i.e. that the trace replays.
-    pub fn is_path_of(&self, model: &mut SymbolicModel) -> bool {
+    /// Each step is one evaluation of the transition relation at the
+    /// pair's assignment: no BDD operation, so no image code is trusted.
+    pub fn is_path_of(&self, model: &SymbolicModel) -> bool {
         for w in self.states.windows(2) {
             if !is_transition(model, &w[0], &w[1]) {
                 return false;
@@ -125,6 +129,33 @@ impl Trace {
             }
         }
         true
+    }
+
+    /// Checks that the model can run this trace as a (fair) computation:
+    /// it starts in an initial state, it [is a path](Self::is_path_of) of
+    /// the model, and a lasso's cycle visits every fairness constraint.
+    /// The engine runs this on every trace before rendering it, so a
+    /// witness generator bug surfaces as an error, never as a wrong trace.
+    ///
+    /// Like the checks it is made of, it only evaluates existing BDDs at
+    /// concrete states, so it creates no nodes and cannot trip a budget.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::WitnessConstruction`] naming the first check that
+    /// failed.
+    pub fn validate(&self, model: &SymbolicModel) -> Result<(), CheckError> {
+        let problem = if !self.states.first().is_some_and(|s| model.eval_state(model.init(), s)) {
+            "does not start in an initial state"
+        } else if !self.is_path_of(model) {
+            "is not a path of the model"
+        } else if self.is_lasso() && !model.fairness().iter().all(|&h| self.cycle_visits(model, h))
+        {
+            "has a cycle that misses a fairness constraint"
+        } else {
+            return Ok(());
+        };
+        Err(CheckError::WitnessConstruction(format!("trace rejected: it {problem}")))
     }
 
     /// Does some state of the cycle lie in `set`? (Fair lassos must visit
@@ -193,9 +224,17 @@ impl Trace {
     }
 }
 
-fn is_transition(model: &mut SymbolicModel, from: &State, to: &State) -> bool {
-    let succ = model.successors(from);
-    model.eval_state(succ, to)
+/// Evaluates the transition relation at `from` (current variables) and
+/// `to` (next-state variables).
+fn is_transition(model: &SymbolicModel, from: &State, to: &State) -> bool {
+    let width = model.num_state_vars();
+    assert!(from.len() == width && to.len() == width, "state width mismatch");
+    let mut dense = vec![false; model.manager().num_vars()];
+    for i in 0..width {
+        dense[model.cur_var(i).index()] = from.bit(i);
+        dense[model.nxt_var(i).index()] = to.bit(i);
+    }
+    model.manager().eval(model.trans(), &dense)
 }
 
 impl fmt::Display for Trace {

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use smc_bdd::{Bdd, FaultPlan, TripReason};
 use smc_checker::fixpoint::eu_rings;
-use smc_checker::{CheckError, Checker, Trace};
+use smc_checker::{CheckError, Checker, CycleStrategy, Trace};
 use smc_kripke::{SymbolicModel, SymbolicModelBuilder};
 use smc_logic::{ctl, ctlstar};
 
@@ -45,13 +45,27 @@ fn assert_fault_recovery<T>(
 ) where
     T: PartialEq + std::fmt::Debug,
 {
+    let points =
+        [(1, true), (2, false), (5, true), (9, false), (17, true), (33, false), (65, true)];
+    assert_fault_recovery_at(label, make_model, CycleStrategy::default(), run, &points);
+}
+
+/// [`assert_fault_recovery`] for checkers using `strategy`, at the given
+/// `(allocation, table_full)` fault points.
+fn assert_fault_recovery_at<T>(
+    label: &str,
+    make_model: impl Fn() -> SymbolicModel,
+    strategy: CycleStrategy,
+    run: impl Fn(&mut Checker) -> Result<T, CheckError>,
+    points: &[(u64, bool)],
+) where
+    T: PartialEq + std::fmt::Debug,
+{
     let mut reference = make_model();
-    let want = run(&mut Checker::new(&mut reference))
+    let want = run(&mut Checker::new(&mut reference).with_strategy(strategy))
         .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
 
-    for (at, table_full) in
-        [(1, true), (2, false), (5, true), (9, false), (17, true), (33, false), (65, true)]
-    {
+    for &(at, table_full) in points {
         let mut model = make_model();
         let plan = if table_full {
             FaultPlan { table_full_at: Some(at), ..FaultPlan::new() }
@@ -59,7 +73,7 @@ fn assert_fault_recovery<T>(
             FaultPlan { cancel_at: Some(at), ..FaultPlan::new() }
         };
         model.manager_mut().inject_faults(plan);
-        let mut c = Checker::new(&mut model);
+        let mut c = Checker::new(&mut model).with_strategy(strategy);
         match run(&mut c) {
             // The fault point lay beyond the run's allocations.
             Ok(v) => assert_eq!(v, want, "{label}: unfaulted run at {at} diverged"),
@@ -136,6 +150,69 @@ fn fair_eg_witness_recovers_from_faults() {
     // (witness/eg.rs) end to end.
     let spec = ctl::parse("EG true").expect("parse");
     assert_fault_recovery("fair witness", || free_bit(true), |c| c.witness(&spec));
+}
+
+/// A fair model whose first fair-cycle attempt fails: from `s = 0` the
+/// walk hops to the nearest fair state `s = 1` and makes it the cycle
+/// anchor, but `1 -> 2 -> 2 …` never returns, so the construction
+/// restarts once and closes the cycle at `s = 2` after the counter `c`
+/// wraps. `s = 3` is unreachable yet leads back into the model, so
+/// confining the closing arcs to the reachable states changes their
+/// rings, never the trace.
+const RESTART_ONCE: &str = "MODULE main
+VAR s : 0..3; c : 0..5;
+ASSIGN
+  init(s) := 0;
+  init(c) := 0;
+  next(s) := case s = 0 : {0, 1}; s = 1 : 2; s = 2 : 2; TRUE : {3, 0}; esac;
+  next(c) := case c = 5 : 0; TRUE : c + 1; esac;
+FAIRNESS s = 1 | s = 2
+SPEC EG TRUE
+SPEC EF s = 2
+SPEC AG s != 2
+";
+
+fn restart_once() -> SymbolicModel {
+    let compiled = smc_smv::compile(RESTART_ONCE).expect("model compiles");
+    let mut model = compiled.model;
+    model.reachable().expect("reachable set");
+    model
+}
+
+#[test]
+fn fair_restart_witness_recovers_from_faults_anywhere() {
+    // Every spec's trace, under both cycle strategies, with the witness
+    // statistics of the `EG TRUE` lasso: the early-stopped closing arc,
+    // the reach-confined path operand, the stay set and the rings the
+    // check keeps in its memo all run here.
+    let specs: Vec<_> = smc_smv::compile(RESTART_ONCE)
+        .expect("model compiles")
+        .specs
+        .into_iter()
+        .map(|s| s.formula)
+        .collect();
+    let run = |c: &mut Checker| {
+        let mut out = Vec::new();
+        for spec in &specs {
+            let o = c.check_with_trace(spec)?;
+            out.push((o.verdict.holds(), o.trace, c.last_witness_stats()));
+        }
+        Ok(out)
+    };
+    for strategy in [CycleStrategy::Restart, CycleStrategy::StaySet] {
+        let mut model = restart_once();
+        let before = model.manager().stats().created_nodes;
+        let mut c = Checker::new(&mut model).with_strategy(strategy);
+        let want = run(&mut c).expect("uninterrupted run");
+        let allocations = c.model().manager().stats().created_nodes - before;
+        let eg_stats = want[0].2.expect("EG TRUE built a fair lasso");
+        assert_eq!(eg_stats.restarts, 1, "{strategy:?}: the first cycle attempt must fail");
+        // A fault at every allocation the run makes, of both kinds.
+        let points: Vec<(u64, bool)> =
+            (1..=allocations + 1).flat_map(|at| [(at, true), (at, false)]).collect();
+        let label = format!("fair restart witness ({strategy:?})");
+        assert_fault_recovery_at(&label, restart_once, strategy, run, &points);
+    }
 }
 
 /// Uninterrupted reference for the property below: verdict of

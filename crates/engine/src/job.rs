@@ -637,9 +637,12 @@ fn plan_coi_job(
 /// Checks every task on its model — one checker per model, so specs
 /// sharing a model share its memo, exactly as one serial run does — and
 /// renders traces after the checkers release their models (states
-/// decode to text here, where the model's tables live). A budget trip
-/// stops the loop but keeps the verdicts decided so far. Then visits
-/// every model, the one the last verdict (or the trip) came from first.
+/// decode to text here, where the model's tables live). Every trace is
+/// [validated](smc_checker::Trace::validate) against its model first; a
+/// rejected one stops the loop with its `WitnessConstruction` error, as
+/// a failed witness construction does. A budget trip stops the loop but
+/// keeps the verdicts decided so far. Then visits every model, the one
+/// the last verdict (or the trip) came from first.
 fn check_tasks(
     models: &mut [CompiledModel],
     tasks: &[Task],
@@ -655,7 +658,12 @@ fn check_tasks(
         for task in tasks {
             let checker = &mut checkers[task.model];
             let outcome = if want_trace {
-                checker.check_with_trace(&task.formula).map(|o| (o.verdict.holds(), o.trace))
+                checker.check_with_trace(&task.formula).and_then(|o| {
+                    if let Some(trace) = &o.trace {
+                        trace.validate(checker.model())?;
+                    }
+                    Ok((o.verdict.holds(), o.trace))
+                })
             } else {
                 checker.check(&task.formula).map(|v| (v.holds(), None))
             };
